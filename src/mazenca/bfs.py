@@ -100,6 +100,10 @@ def inject_endpoints(
     for ch, pos in ((CH_SOURCE, source), (CH_TARGET, target)):
         if pos is None:
             continue
+        if not maze.contains(pos):
+            raise MazeError(
+                f"injected endpoint {pos} is outside the {maze.height}x{maze.width} maze"
+            )
         if maze.walls[pos]:
             raise MazeError(f"injected endpoint {pos} is a wall")
         enc[ch][pos] = 1.0
@@ -115,6 +119,12 @@ def bfs_states(maze_onehot: np.ndarray) -> Iterator[BfsState]:
         yield state
 
 
+def flood_horizon(height: int, width: int) -> int:
+    """Default step cap for a flood over an H x W maze: a safe horizon, as a
+    flood grows by at least one tile per step until its fixpoint."""
+    return 4 * height * width
+
+
 def run_bfs(
     maze: Maze,
     mode: str = "bidirectional",
@@ -123,9 +133,9 @@ def run_bfs(
 ) -> BfsResult:
     """Bidirectional mode runs until the floods first overlap; single-source
     mode floods from ``at`` until the flood stops changing.  ``max_steps``
-    defaults to 4*H*W, a safe horizon for any flood."""
+    defaults to ``flood_horizon(H, W)``."""
     if max_steps is None:
-        max_steps = 4 * maze.height * maze.width
+        max_steps = flood_horizon(maze.height, maze.width)
     if max_steps < 1:
         raise MazeError("max_steps must be positive")
     if mode == "bidirectional":

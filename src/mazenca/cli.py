@@ -20,8 +20,12 @@ from .diameter import diameter_nca
 from .evolve import EvolutionConfig, label_maze, run_evolution
 from .extract import initial_state as extract_initial, extract_step, run_extract, PATH
 from .grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
-from .solvers import make_solver
+from .solvers import ExternalSolver, make_solver
 from .verify import verify_task
+
+
+class UsageError(MazeError):
+    """Bad command-line input (exit code 2)."""
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -35,19 +39,22 @@ def _parse_size(text: str) -> tuple[int, int]:
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
-    raise MazeError(f"bad size {text!r} (expected N or HxW)")
+    raise UsageError(f"bad size {text!r} (expected N or HxW)")
 
 
 def _load_maze(path: str) -> Maze:
     return parse_maze(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_tile(text: str) -> tuple[int, int]:
+def _parse_tile(text: str, maze: Maze) -> tuple[int, int]:
     try:
         r, c = text.split(",")
-        return int(r), int(c)
+        tile = int(r), int(c)
     except ValueError:
-        raise MazeError(f"bad tile {text!r} (expected row,col)") from None
+        raise UsageError(f"bad tile {text!r} (expected row,col)") from None
+    if not maze.contains(tile):
+        raise UsageError(f"tile {tile} is outside the {maze.height}x{maze.width} maze")
+    return tile
 
 
 def _first_empty(maze: Maze) -> tuple[int, int]:
@@ -99,7 +106,7 @@ def cmd_solve(args) -> int:
 
 def cmd_dfs(args) -> int:
     maze = _load_maze(args.maze)
-    start = _parse_tile(args.start) if args.start else _first_empty(maze)
+    start = _parse_tile(args.start, maze) if args.start else _first_empty(maze)
     from .dfs import run_dfs
 
     trace = run_dfs(maze, start)
@@ -132,7 +139,10 @@ def cmd_evolve(args) -> int:
     dataset = read_dataset(args.dataset)
     if not dataset:
         raise MazeError("empty dataset")
-    solver = make_solver(args.solver)
+    try:
+        solver = make_solver(args.solver)
+    except MazeError as exc:
+        raise UsageError(str(exc)) from None
     cfg = EvolutionConfig(
         generations=args.generations,
         task=dataset[0].task,
@@ -141,7 +151,11 @@ def cmd_evolve(args) -> int:
         n_flips=args.n_flips,
         seed=args.seed,
     )
-    evolved, stats = run_evolution(dataset, solver, cfg)
+    try:
+        evolved, stats = run_evolution(dataset, solver, cfg)
+    finally:
+        if isinstance(solver, ExternalSolver):
+            solver.close()
     write_dataset(args.out, evolved)
     with open(args.stats_out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -210,7 +224,7 @@ def _bidir_onehot(maze: Maze) -> np.ndarray:
 
 def cmd_trace(args) -> int:
     maze = _load_maze(args.maze)
-    start = _parse_tile(args.start) if args.start else None
+    start = _parse_tile(args.start, maze) if args.start else None
     frames = _collect_frames(maze, args.algo, start)
     write_trace(args.out, frames)
     print(f"wrote {len(frames)} steps to {args.out}")
@@ -227,10 +241,10 @@ def _format_plane(plane: np.ndarray) -> str:
 
 def cmd_render(args) -> int:
     maze = _load_maze(args.maze)
-    start = _parse_tile(args.start) if args.start else None
+    start = _parse_tile(args.start, maze) if args.start else None
     frames = _collect_frames(maze, args.algo, start)
     if not 0 <= args.channel < frames[0].shape[0]:
-        raise MazeError(
+        raise UsageError(
             f"channel {args.channel} out of range (0..{frames[0].shape[0] - 1})"
         )
     for t, frame in enumerate(frames, start=1):
@@ -310,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except MazeError as exc:
         print(str(exc), file=sys.stderr)
         return 1

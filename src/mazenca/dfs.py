@@ -5,8 +5,7 @@ step.  Directional priority (down > right > up > left) is enforced by 5x5
 kernels that look at a neighbour's own higher-priority neighbours; ignored
 tiles land on a neural stack (stack / stack_rank / stack_direction) and are
 popped, most recent first, whenever the pebble -- the single newly-routed
-tile -- gets stuck.  since counters record visit times for the diameter
-scheduler.
+tile -- gets stuck.
 """
 
 from __future__ import annotations
@@ -222,6 +221,8 @@ def run_dfs(maze: Maze, start: tuple[int, int], cfg: DfsConfig | None = None) ->
     drains.  The trace records pebble positions (the visit order), their
     steps, and pop events."""
     cfg = cfg or DfsConfig()
+    if not maze.contains(start):
+        raise MazeError(f"DFS start {start} is outside the {maze.height}x{maze.width} maze")
     if maze.walls[start]:
         raise MazeError(f"DFS start {start} is a wall")
     H, W = maze.walls.shape

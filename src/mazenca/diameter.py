@@ -1,13 +1,17 @@
-"""DFS-driven diameter computation.
+"""Diameter from one flood run over a canvas of maze copies.
 
-A depth-first traversal visits every tile of each component; a single-source
-flood launched from each visited tile runs to its fixpoint, at which point
-the age at the flood's own source equals that tile's eccentricity plus one
-(i.e. the longest shortest path ending there, in tiles).  The floods could
-be staggered on shared channels with per-launch waiting times; here each
-flood runs on its own channels instead, and the launch schedule the waiting
-times imply is computed and reported for inspection -- the results are
-identical.
+A single-source flood from tile u, run to its fixpoint, leaves age
+eccentricity(u) + 1 at u itself (the longest shortest path ending at u, in
+tiles).  The paper launches one such flood per tile from a DFS and staggers
+them on shared channels, with per-launch waiting times, so that they never
+collide.  Here a canvas stands in for that schedule: every flood gets its own
+copy of the maze, the copies are stacked along the row axis of one integer
+tensor with a row of walls between neighbours, and each conv step advances
+all of them at once.  A wall row never floods and its age stays 0, so it
+isolates the copies exactly as zero padding isolates a single run.  A copy
+whose flood stopped changing has reached its fixpoint (the single-source rule
+of ``run_bfs``); its source age is read and the copy leaves the canvas, so
+later steps pay only for live floods.
 """
 
 from __future__ import annotations
@@ -16,37 +20,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bfs import AGE, FLOOD_S, run_bfs
-from .dfs import DfsConfig, DfsTrace, run_dfs
+from .bfs import (
+    AGE,
+    FLOOD_S,
+    N_HIDDEN,
+    BfsState,
+    bfs_step,
+    flood_horizon,
+    inject_endpoints,
+    run_bfs,
+)
+from .dfs import DfsTrace
 from .extract import run_extract
-from .grid import Maze, MazeError
+from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError
+
+# canvas rows x columns per flood run; larger mazes split their tiles over
+# several runs so memory stays near 100 MB
+CANVAS_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
 class DiameterRun:
-    path_max: np.ndarray  # H x W ages at fixpoint; 0 on walls/unvisited
-    launch_schedule: list[tuple[int, tuple[int, int], int]]  # (launch_step, tile, wait)
+    path_max: np.ndarray  # H x W ages at fixpoint; 0 on walls
     best_endpoint: tuple[int, int]
     farthest: tuple[int, int]
     diameter_len: int  # tiles
     witness: np.ndarray  # bool H x W shortest path(s) between the endpoints
 
 
-def calibrate_eccentricity(fixpoint_age_at_source: int) -> int:
-    """Eccentricity in moves implied by the source's age once its flood
-    reached a fixpoint.  The flood seeds one step before the age counter
-    starts and the fixpoint is detected one step after the last growth, so
-    the two offsets cancel up to a single step: age = eccentricity + 1."""
-    moves = int(fixpoint_age_at_source) - 1
-    if moves < 0:
-        raise MazeError("fixpoint age below 1: step-indexing convention broken")
-    return moves
-
-
 def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int], int]]:
-    """Launch schedule for the staggered floods: the first visited tile
-    launches immediately; each later one waits for the visit-step gap to its
-    predecessor (1 for an adjacent move, the backtrack span after a pop)."""
+    """Launch schedule for the paper's staggered floods: the first visited
+    tile launches immediately; each later one waits for the visit-step gap to
+    its predecessor (1 for an adjacent move, the backtrack span after a pop).
+    Entries are (launch_step, tile, wait)."""
     if not trace.visit_order:
         raise MazeError("empty DFS trace")
     schedule = []
@@ -60,26 +66,73 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
-def diameter_nca(maze: Maze, cfg: DfsConfig | None = None) -> DiameterRun:
+def flood_dtype(height: int, width: int) -> np.dtype:
+    """Narrowest integer dtype that holds a flood over an H x W maze.  Within
+    the ``flood_horizon(H, W)`` steps a run may take, ages and age
+    pre-activations stay at or below the horizon, and flood pre-activations
+    lie in [-6, 6]."""
+    bound = max(flood_horizon(height, width), 6)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise MazeError(f"flood values up to {bound} overflow int64")
+
+
+def source_ages(maze: Maze, tiles: np.ndarray) -> np.ndarray:
+    """Fixpoint age at each tile's own source for a single-source flood from
+    every tile in ``tiles`` (n x 2, empty tiles), all on one canvas.  Entry i
+    equals ``run_bfs(maze, "single_source", at=tiles[i])``'s age at
+    ``tiles[i]``."""
     H, W = maze.walls.shape
-    empties = [tuple(p) for p in np.argwhere(~maze.walls)]
-    if not empties:
+    dtype = flood_dtype(H, W)
+    rows, cols = tiles[:, 0], tiles[:, 1]
+    n = len(tiles)
+    onehot = np.zeros((4, n, H + 1, W), dtype=dtype)
+    onehot[:, :, :H] = inject_endpoints(maze, source=None)[:, None]
+    onehot[CH_WALL, :, H] = 1
+    onehot[CH_SOURCE, np.arange(n), rows, cols] = 1
+    onehot[CH_EMPTY, np.arange(n), rows, cols] = 0
+    state = BfsState(
+        hidden=np.zeros((N_HIDDEN, n * (H + 1), W), dtype=dtype),
+        maze_onehot=onehot.reshape(4, -1, W),
+    )
+
+    ages = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)  # canvas copy j floods from tiles[live[j]]
+    prev = state.hidden[FLOOD_S]
+    for _ in range(flood_horizon(H, W)):
+        state = bfs_step(state)
+        m = len(live)
+        hidden = state.hidden.reshape(N_HIDDEN, m, H + 1, W)
+        settled = np.all(hidden[FLOOD_S] == prev.reshape(m, H + 1, W), axis=(1, 2))
+        if settled.any():
+            done = live[settled]
+            ages[done] = hidden[AGE, np.flatnonzero(settled), rows[done], cols[done]]
+            keep = ~settled
+            live = live[keep]
+            if not live.size:
+                return ages
+            onehot = state.maze_onehot.reshape(4, m, H + 1, W)[:, keep]
+            state = BfsState(
+                hidden=hidden[:, keep].reshape(N_HIDDEN, -1, W),
+                maze_onehot=onehot.reshape(4, -1, W),
+                step=state.step,
+            )
+        prev = state.hidden[FLOOD_S]
+    raise MazeError(f"{len(live)} floods did not settle within {flood_horizon(H, W)} steps")
+
+
+def diameter_nca(maze: Maze) -> DiameterRun:
+    H, W = maze.walls.shape
+    tiles = np.argwhere(~maze.walls)
+    if not len(tiles):
         raise MazeError("maze has no empty tiles")
 
     path_max = np.zeros((H, W), dtype=np.int64)
-    schedule: list[tuple[int, tuple[int, int], int]] = []
-    source_states = {}
-    visited: set[tuple[int, int]] = set()
-    for start in empties:  # row-major component restarts
-        if start in visited:
-            continue
-        trace = run_dfs(maze, start, cfg)
-        schedule.extend(schedule_dijkstra_calls(trace))
-        for u in trace.visit_order:
-            visited.add(u)
-            result = run_bfs(maze, mode="single_source", at=u)
-            path_max[u] = int(result.final.hidden[AGE][u])
-            source_states[u] = result.final
+    per_run = max(1, CANVAS_CELLS // ((H + 1) * W))
+    for lo in range(0, len(tiles), per_run):
+        chunk = tiles[lo : lo + per_run]
+        path_max[chunk[:, 0], chunk[:, 1]] = source_ages(maze, chunk)
 
     flat_best = int(np.argmax(path_max))
     best = (flat_best // W, flat_best % W)
@@ -87,7 +140,7 @@ def diameter_nca(maze: Maze, cfg: DfsConfig | None = None) -> DiameterRun:
 
     # second endpoint: farthest tile in the best endpoint's own flood, which
     # at fixpoint is the flooded tile with the smallest age (row-major ties)
-    final = source_states[best].hidden
+    final = run_bfs(maze, mode="single_source", at=best).final.hidden
     flooded = final[FLOOD_S] > 0.0
     ages = np.where(flooded, final[AGE], np.iinfo(np.int64).max)
     flat_far = int(np.argmin(ages))
@@ -102,7 +155,6 @@ def diameter_nca(maze: Maze, cfg: DfsConfig | None = None) -> DiameterRun:
         witness = run_extract(bfs).mask
     return DiameterRun(
         path_max=path_max,
-        launch_schedule=schedule,
         best_endpoint=best,
         farthest=far,
         diameter_len=diameter_len,

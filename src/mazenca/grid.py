@@ -55,6 +55,12 @@ class Maze:
     def width(self) -> int:
         return self.walls.shape[1]
 
+    def contains(self, pos: tuple[int, int]) -> bool:
+        """True when ``pos`` is a tile of the grid.  Check this before
+        indexing with outside input: negative indices would wrap."""
+        r, c = pos
+        return 0 <= r < self.height and 0 <= c < self.width
+
     def __eq__(self, other):
         return (
             isinstance(other, Maze)

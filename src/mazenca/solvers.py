@@ -143,9 +143,11 @@ def make_solver(spec: str):
         return ZerosSolver()
     if spec == "oracle":
         return OracleSolver()
-    if spec.startswith("budget"):
-        _, _, n = spec.partition(":")
-        return BudgetedNcaSolver(int(n) if n else 16)
+    if spec == "budget" or spec.startswith("budget:"):
+        n = spec[len("budget:"):] or "16"
+        if not (n.isascii() and n.isdigit()) or int(n) < 1:
+            raise MazeError(f"bad solver spec {spec!r}: the budget must be a positive integer")
+        return BudgetedNcaSolver(int(n))
     if spec.startswith("cmd:"):
         return ExternalSolver(spec[4:])
     raise MazeError(f"unknown solver spec {spec!r}")

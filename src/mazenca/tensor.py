@@ -1,8 +1,11 @@
 """Dense convolution and activation engine for channel tensors.
 
-All cellular-automaton pipelines run on C x H x W float64 tensors.  Values on
-the logical channels stay exactly representable (small integers and fifths),
-so no tolerances are needed inside the automata themselves.
+The cellular-automaton pipelines run on C x H x W tensors: float64 for the
+flood, extraction and DFS runs, and a narrow integer dtype for the diameter
+canvas.  Values on the logical channels stay exactly representable (small
+integers and fifths), so no tolerances are needed inside the automata
+themselves.  Integer input keeps its dtype through ``conv2d`` and ``step``;
+any other input computes in float64.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ class KernelStack:
     weights: np.ndarray
     bias: np.ndarray
     _taps: list | None = field(default=None, repr=False, compare=False)
+    _int_taps: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -51,14 +55,22 @@ class KernelStack:
     def k(self) -> int:
         return self.weights.shape[2]
 
-    def taps(self):
+    def taps(self, integer: bool = False):
+        """Nonzero weights as (co, ci, i, j, w); ``integer`` gives each w
+        as a Python int, for integer-valued stacks only."""
         if self._taps is None:
             idx = np.argwhere(self.weights != 0.0)
             self._taps = [
                 (int(co), int(ci), int(i), int(j), float(self.weights[co, ci, i, j]))
                 for co, ci, i, j in idx
             ]
-        return self._taps
+        if not integer:
+            return self._taps
+        if self._int_taps is None:
+            if not all(np.array_equal(a, np.round(a)) for a in (self.weights, self.bias)):
+                raise TensorError("integer input needs integer-valued weights and bias")
+            self._int_taps = [(co, ci, i, j, int(w)) for co, ci, i, j, w in self._taps]
+        return self._int_taps
 
 
 def zeros_kernel(out_channels: int, in_channels: int, k: int) -> KernelStack:
@@ -68,8 +80,16 @@ def zeros_kernel(out_channels: int, in_channels: int, k: int) -> KernelStack:
     )
 
 
+def _is_integer(x: np.ndarray) -> bool:
+    return x.dtype.kind in "iu"  # np.issubdtype costs more than a small step()
+
+
 def conv2d(x: np.ndarray, kernels: KernelStack) -> np.ndarray:
-    """Stride-1 convolution with zero padding of width (k-1)/2."""
+    """Stride-1 convolution with zero padding of width (k-1)/2.
+
+    Integer input gives output of the same dtype, with the weights applied
+    as integers; the caller's dtype must hold every sum.  Any other input
+    gives float64 output."""
     if x.shape[0] != kernels.in_channels:
         raise TensorError(
             f"input has {x.shape[0]} channels, kernels expect {kernels.in_channels}"
@@ -77,8 +97,10 @@ def conv2d(x: np.ndarray, kernels: KernelStack) -> np.ndarray:
     _, H, W = x.shape
     pad = (kernels.k - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    out = np.repeat(kernels.bias[:, None, None], H, axis=1).repeat(W, axis=2).astype(np.float64)
-    for co, ci, i, j, w in kernels.taps():
+    integer = _is_integer(x)
+    bias = kernels.bias.astype(x.dtype if integer else np.float64)
+    out = np.repeat(bias[:, None, None], H, axis=1).repeat(W, axis=2)
+    for co, ci, i, j, w in kernels.taps(integer):
         out[co] += w * xp[ci, i : i + H, j : j + W]
     return out
 
@@ -86,7 +108,7 @@ def conv2d(x: np.ndarray, kernels: KernelStack) -> np.ndarray:
 def step(x: np.ndarray) -> np.ndarray:
     """1 where x > 0, else 0 (strict; an exactly-zero pre-activation means
     "no flooded neighbour" and must not fire)."""
-    return (x > 0.0).astype(np.float64)
+    return (x > 0).astype(x.dtype if _is_integer(x) else np.float64)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

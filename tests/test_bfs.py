@@ -110,6 +110,16 @@ def test_inject_endpoints_validation():
         inject_endpoints(maze, source=(0, 1))
 
 
+@pytest.mark.parametrize("tile", [(-1, 0), (0, -2), (1, 0), (0, 2)])
+def test_inject_endpoints_rejects_tiles_outside_the_grid(tile):
+    # negative indices would otherwise wrap onto a real tile
+    maze = parse_maze("..")
+    with pytest.raises(MazeError, match="outside"):
+        inject_endpoints(maze, source=tile)
+    with pytest.raises(MazeError, match="outside"):
+        inject_endpoints(maze, source=None, target=tile)
+
+
 def test_run_bfs_argument_validation():
     maze = parse_maze("..")
     with pytest.raises(MazeError):

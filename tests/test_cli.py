@@ -1,4 +1,8 @@
 import hashlib
+import os
+import shlex
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -142,8 +146,73 @@ def test_render_command(tmp_path, capsys):
 def test_render_channel_out_of_range(tmp_path, capsys):
     path = write_maze(tmp_path, "S..T")
     assert main(["render", "--maze", path, "--algo", "bfs",
-                 "--channel", "9"]) == 1
+                 "--channel", "9"]) == 2
     assert "channel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["9,9", "-1,0", "0,-1", "3,0"])
+def test_dfs_start_outside_maze_is_usage_error(tmp_path, capsys, start):
+    path = write_maze(tmp_path, "...\n...\n...")
+    assert main(["dfs", "--maze", path, f"--start={start}"]) == 2
+    captured = capsys.readouterr()
+    assert "outside" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["budget:x", "budget:0", "budgetx"])
+def test_evolve_bad_solver_spec_is_usage_error(tmp_path, capsys, spec):
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "2", "--size", "6",
+          "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    assert main(["evolve", "--dataset", str(data), "--solver", spec,
+                 "--generations", "1", "--out", str(tmp_path / "e.jsonl"),
+                 "--stats-out", str(tmp_path / "s.csv")]) == 2
+    assert spec in capsys.readouterr().err
+
+
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_evolve_closes_external_solver(tmp_path):
+    # the child answers every request with zeros, then lingers after EOF, so
+    # only an explicit close ends it
+    pid_file = tmp_path / "child.pid"
+    script = tmp_path / "zeros_solver.py"
+    script.write_text(
+        "import os, sys, time\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "while True:\n"
+        "    line = sys.stdin.readline()\n"
+        "    if not line:\n"
+        "        time.sleep(30)\n"
+        "        break\n"
+        "    _, h, w = line.split()\n"
+        "    for _ in range(int(h)):\n"
+        "        sys.stdin.readline()\n"
+        "    for _ in range(int(h)):\n"
+        "        print(' '.join(['0'] * int(w)))\n"
+        "    print('END', flush=True)\n"
+    )
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "4", "--size", "6",
+          "--seed", "2", "--out", str(data)])
+    assert main(["evolve", "--dataset", str(data),
+                 "--solver", "cmd:" + shlex.join([sys.executable, str(script)]),
+                 "--generations", "1", "--out", str(tmp_path / "e.jsonl"),
+                 "--stats-out", str(tmp_path / "s.csv"), "--batch-size", "2"]) == 0
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 10
+    while _pid_alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = _pid_alive(pid)
+    if alive:
+        os.kill(pid, 9)
+    assert not alive, "external solver still running after evolve returned"
 
 
 def test_missing_file_is_runtime_error(tmp_path, capsys):

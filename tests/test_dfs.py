@@ -58,6 +58,13 @@ def test_start_validation():
         run_dfs(walls_only("#."), (0, 0))
 
 
+@pytest.mark.parametrize("start", [(-1, 0), (0, -1), (3, 0), (9, 9)])
+def test_start_outside_the_grid_is_rejected(start):
+    # (-1, 0) would otherwise wrap and run from (2, 0)
+    with pytest.raises(MazeError, match="outside"):
+        run_dfs(walls_only("...\n...\n..."), start)
+
+
 def test_visit_steps_increase():
     trace = run_dfs(walls_only("...\n..."), (0, 0))
     assert trace.visit_steps == sorted(trace.visit_steps)

@@ -3,25 +3,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazenca import diameter
+from mazenca.bfs import AGE, run_bfs
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
-    calibrate_eccentricity,
     diameter_nca,
+    flood_dtype,
     schedule_dijkstra_calls,
+    source_ages,
 )
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import diameter_oracle, distance_map, shortest_path_union
+
+WALL_PS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 
 def walls_only(text):
     return Maze(walls=parse_maze(text).walls)
 
 
-def test_calibration():
-    assert calibrate_eccentricity(1) == 0
-    assert calibrate_eccentricity(5) == 4
-    with pytest.raises(MazeError):
-        calibrate_eccentricity(0)
+def sweep_mazes(n, max_side, seed):
+    """Seeded walls-only mazes: every 1xN and Nx1 corridor, all-open and
+    single-empty grids, then ``n`` random grids with sides in 1..max_side
+    and wall probabilities cycling through WALL_PS."""
+    mazes = []
+    for side in range(1, max_side + 1):
+        mazes.append(np.zeros((1, side), dtype=bool))
+        mazes.append(np.zeros((side, 1), dtype=bool))
+        mazes.append(np.zeros((side, max_side + 1 - side), dtype=bool))
+        single = np.ones((side, max_side), dtype=bool)
+        single[side // 2, side % max_side] = False
+        mazes.append(single)
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        h, w = (int(v) for v in rng.integers(1, max_side + 1, size=2))
+        walls = rng.random((h, w)) < WALL_PS[i % len(WALL_PS)]
+        if walls.all():
+            walls[rng.integers(h), rng.integers(w)] = False
+        mazes.append(walls)
+    return [Maze(walls=w) for w in mazes]
+
+
+def oracle_path_max(maze):
+    expected = np.zeros(maze.walls.shape, dtype=np.int64)
+    for y, x in np.argwhere(~maze.walls):
+        expected[y, x] = distance_map(maze, (int(y), int(x))).max() + 1
+    return expected
 
 
 def test_open_square():
@@ -73,6 +100,49 @@ def test_path_max_is_eccentricity_plus_one():
     for y, x in np.argwhere(~maze.walls):
         ecc = int(distance_map(maze, (int(y), int(x))).max())
         assert run.path_max[y, x] == ecc + 1
+
+
+def test_path_max_matches_oracle_across_shapes_and_densities():
+    # diameter_nca's path_max is source_ages over all empty tiles; calling
+    # source_ages directly skips the float64 endpoint and witness runs
+    mazes = sweep_mazes(1000, 12, seed=31)
+    assert len(mazes) >= 1000
+    for maze in mazes:
+        tiles = np.argwhere(~maze.walls)
+        path_max = np.zeros(maze.walls.shape, dtype=np.int64)
+        path_max[tiles[:, 0], tiles[:, 1]] = source_ages(maze, tiles)
+        np.testing.assert_array_equal(path_max, oracle_path_max(maze), err_msg=str(maze.walls))
+
+
+def test_canvas_ages_match_unbatched_floods():
+    for maze in sweep_mazes(100, 8, seed=32):
+        tiles = np.argwhere(~maze.walls)
+        ages = source_ages(maze, tiles)
+        for (y, x), age in zip(tiles, ages):
+            single = run_bfs(maze, mode="single_source", at=(int(y), int(x)))
+            assert single.fixpoint
+            assert age == single.final.hidden[AGE][y, x]
+
+
+@pytest.mark.parametrize("cells", [diameter.CANVAS_CELLS, 40])
+def test_gutter_isolates_copies_on_open_grid(monkeypatch, cells):
+    # on an all-open grid every copy's last row would flood into the next
+    # copy's first row if the wall row between them were missing; 40 cells
+    # force one copy per canvas run
+    monkeypatch.setattr(diameter, "CANVAS_CELLS", cells)
+    maze = Maze(walls=np.zeros((6, 9), dtype=bool))
+    np.testing.assert_array_equal(diameter_nca(maze).path_max, oracle_path_max(maze))
+
+
+def test_flood_dtype_covers_the_age_bound():
+    assert flood_dtype(1, 1) == np.int8
+    assert flood_dtype(5, 6) == np.int8  # horizon 120
+    assert flood_dtype(4, 8) == np.int16  # horizon 128
+    assert flood_dtype(16, 16) == np.int16
+    assert flood_dtype(128, 128) == np.int32
+    assert flood_dtype(2**15, 2**16) == np.int64
+    with pytest.raises(MazeError, match="overflow"):
+        flood_dtype(2**31, 2**31)
 
 
 @settings(max_examples=20, deadline=None)

@@ -52,6 +52,28 @@ def test_conv2d_matches_naive_reference(seed, k):
     np.testing.assert_array_equal(conv2d(x, ks), naive_conv2d(x, ks))
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([3, 5]),
+       dtype=st.sampled_from([np.int8, np.int16, np.int32]))
+def test_conv2d_integer_input_keeps_dtype_and_matches_float(seed, k, dtype):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, size=(3, 6, 5)).astype(dtype)
+    ks = KernelStack(
+        weights=rng.integers(-2, 3, size=(2, 3, k, k)).astype(np.float64),
+        bias=rng.integers(-1, 2, size=2).astype(np.float64),
+    )
+    out = conv2d(x, ks)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, conv2d(x.astype(np.float64), ks))
+
+
+def test_conv2d_integer_input_needs_integer_weights():
+    ks = zeros_kernel(1, 1, 3)
+    ks.weights[0, 0, 1, 1] = 0.5
+    with pytest.raises(TensorError):
+        conv2d(np.ones((1, 2, 2), dtype=np.int16), ks)
+
+
 def test_conv2d_zero_padding():
     # a single positive pixel against an all-ones 3x3 kernel: corners see
     # only in-bounds mass, so edge sums shrink -- padding contributes zero
@@ -75,6 +97,9 @@ def test_kernel_validation():
 def test_step_is_strict():
     np.testing.assert_array_equal(step(np.array([-1.0, 0.0, 0.5, 2.0])),
                                   np.array([0.0, 0.0, 1.0, 1.0]))
+    out = step(np.array([-6, 0, 1, 5], dtype=np.int16))
+    assert out.dtype == np.int16
+    np.testing.assert_array_equal(out, [0, 0, 1, 1])
 
 
 def test_relu():
