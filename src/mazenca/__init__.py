@@ -15,7 +15,7 @@ from .dataset import (
     write_dataset,
     write_trace,
 )
-from .dfs import DfsConfig, DfsTrace, run_dfs
+from .dfs import DfsTrace, run_dfs
 from .diameter import DiameterRun, diameter_nca, schedule_dijkstra_calls
 from .evolve import EvolutionConfig, GenerationStats, label_maze, run_evolution
 from .extract import ExtractResult, ExtractionFailed, run_extract
@@ -55,7 +55,6 @@ __all__ = [
     "BfsState",
     "BudgetedNcaSolver",
     "DatasetRecord",
-    "DfsConfig",
     "DfsTrace",
     "DiameterRun",
     "EvolutionConfig",

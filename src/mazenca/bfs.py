@@ -9,11 +9,13 @@ to a fixpoint instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from .loop import run
 from .grid import CH_SOURCE, CH_TARGET, CH_EMPTY, Maze, MazeError, one_hot
 from .tensor import (
     KernelStack,
@@ -63,14 +65,9 @@ def build_bfs_weights() -> KernelStack:
     return ks
 
 
-_WEIGHTS: KernelStack | None = None
-
-
+@functools.cache
 def _weights() -> KernelStack:
-    global _WEIGHTS
-    if _WEIGHTS is None:
-        _WEIGHTS = build_bfs_weights()
-    return _WEIGHTS
+    return build_bfs_weights()
 
 
 def initial_state(maze_onehot: np.ndarray) -> BfsState:
@@ -111,18 +108,20 @@ def inject_endpoints(
     return enc
 
 
-def bfs_states(maze_onehot: np.ndarray) -> Iterator[BfsState]:
-    """Unbounded stream of states, one per automaton step (step 1 first)."""
-    state = initial_state(maze_onehot)
-    while True:
-        state = bfs_step(state)
-        yield state
-
-
 def flood_horizon(height: int, width: int) -> int:
     """Default step cap for a flood over an H x W maze: a safe horizon, as a
     flood grows by at least one tile per step until its fixpoint."""
     return 4 * height * width
+
+
+def floods_met(prev: BfsState, state: BfsState) -> bool:
+    """Bidirectional halting rule: the two floods overlap somewhere."""
+    return bool(np.any(state.hidden[FLOOD_S] * state.hidden[FLOOD_T] > 0.0))
+
+
+def flood_fixpoint(prev: BfsState, state: BfsState) -> bool:
+    """Single-source halting rule: the source flood stopped changing."""
+    return np.array_equal(state.hidden[FLOOD_S], prev.hidden[FLOOD_S])
 
 
 def run_bfs(
@@ -130,10 +129,11 @@ def run_bfs(
     mode: str = "bidirectional",
     at: tuple[int, int] | None = None,
     max_steps: int | None = None,
+    observe: Callable[[BfsState], object] | None = None,
 ) -> BfsResult:
     """Bidirectional mode runs until the floods first overlap; single-source
     mode floods from ``at`` until the flood stops changing.  ``max_steps``
-    defaults to ``flood_horizon(H, W)``."""
+    defaults to ``flood_horizon(H, W)``; ``observe`` sees every state."""
     if max_steps is None:
         max_steps = flood_horizon(maze.height, maze.width)
     if max_steps < 1:
@@ -141,23 +141,12 @@ def run_bfs(
     if mode == "bidirectional":
         if maze.source is None or maze.target is None:
             raise MazeError("bidirectional flood needs source and target")
-        onehot = one_hot(maze)
-        state = initial_state(onehot)
-        for _ in range(max_steps):
-            state = bfs_step(state)
-            if np.any(state.hidden[FLOOD_S] * state.hidden[FLOOD_T] > 0.0):
-                return BfsResult(met=True, meet_step=state.step, final=state)
-        return BfsResult(met=False, meet_step=None, final=state)
+        state, met = run(bfs_step, initial_state(one_hot(maze)), floods_met, max_steps, observe)
+        return BfsResult(met=met, meet_step=state.step if met else None, final=state)
     if mode == "single_source":
         if at is None:
             raise MazeError("single_source mode needs a start tile")
         onehot = inject_endpoints(maze, source=at)
-        state = initial_state(onehot)
-        prev = state.hidden[FLOOD_S].copy()
-        for _ in range(max_steps):
-            state = bfs_step(state)
-            if np.array_equal(state.hidden[FLOOD_S], prev):
-                return BfsResult(met=False, meet_step=None, final=state, fixpoint=True)
-            prev = state.hidden[FLOOD_S].copy()
-        return BfsResult(met=False, meet_step=None, final=state)
+        state, fixpoint = run(bfs_step, initial_state(onehot), flood_fixpoint, max_steps, observe)
+        return BfsResult(met=False, meet_step=None, final=state, fixpoint=fixpoint)
     raise MazeError(f"unknown mode {mode!r}")

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bfs import bfs_states, run_bfs
+from .bfs import run_bfs
 from .dataset import DatasetRecord, read_dataset, write_dataset, write_trace
-from .dfs import PEBBLE, STACK, DfsConfig, dfs_states
+from .dfs import run_dfs
 from .diameter import diameter_nca
 from .evolve import EvolutionConfig, label_maze, run_evolution
-from .extract import initial_state as extract_initial, extract_step, run_extract, PATH
+from .extract import run_extract
 from .grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
 from .solvers import ExternalSolver, make_solver
 from .verify import verify_task
@@ -46,7 +46,10 @@ def _load_maze(path: str) -> Maze:
     return parse_maze(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_tile(text: str, maze: Maze) -> tuple[int, int]:
+def _parse_start(text: str | None, maze: Maze) -> tuple[int, int] | None:
+    """``--start row,col`` as a tile inside the maze, or None if not given."""
+    if not text:
+        return None
     try:
         r, c = text.split(",")
         tile = int(r), int(c)
@@ -57,7 +60,12 @@ def _parse_tile(text: str, maze: Maze) -> tuple[int, int]:
     return tile
 
 
-def _first_empty(maze: Maze) -> tuple[int, int]:
+def _dfs_start(maze: Maze, start: tuple[int, int] | None) -> tuple[int, int]:
+    """The given start tile, which must be empty, or the first empty tile."""
+    if start is not None:
+        if maze.walls[start]:
+            raise UsageError(f"DFS start {start} is a wall")
+        return start
     empties = np.argwhere(~maze.walls)
     if len(empties) == 0:
         raise MazeError("maze has no empty tiles")
@@ -106,10 +114,7 @@ def cmd_solve(args) -> int:
 
 def cmd_dfs(args) -> int:
     maze = _load_maze(args.maze)
-    start = _parse_tile(args.start, maze) if args.start else _first_empty(maze)
-    from .dfs import run_dfs
-
-    trace = run_dfs(maze, start)
+    trace = run_dfs(maze, _dfs_start(maze, _parse_start(args.start, maze)))
     for r, c in trace.visit_order:
         print(f"{r},{c}")
     return 0
@@ -127,7 +132,7 @@ def cmd_diameter(args) -> int:
 def cmd_verify(args) -> int:
     height, width = _parse_size(args.size)
     if height != width:
-        raise MazeError("verify uses square mazes; pass a single size")
+        raise UsageError("verify uses square mazes; pass a single size")
     passed, failures = verify_task(args.task, args.n, args.seed, size=height)
     for msg in failures:
         print(msg, file=sys.stderr)
@@ -172,60 +177,26 @@ def cmd_evolve(args) -> int:
 
 
 def _collect_frames(maze: Maze, algo: str, start: tuple[int, int] | None) -> list[np.ndarray]:
-    H, W = maze.walls.shape
-    if algo == "bfs":
-        frames = []
-        for state in bfs_states(_bidir_onehot(maze)):
-            frames.append(state.hidden.copy())
-            if np.any(state.hidden[0] * state.hidden[1] > 0.0):
-                return frames
-            if state.step > 4 * H * W:
-                raise MazeError("floods never met; no trace")
-    if algo == "extract":
-        bfs = run_bfs(maze)
-        if not bfs.met:
-            raise MazeError("floods never met; no trace")
-        frames = []
-        state = extract_initial(bfs.final.hidden)
-        prev = state.hidden[PATH].copy()
-        for _ in range(4 * H * W):
-            state = extract_step(state)
-            frames.append(state.hidden.copy())
-            if np.array_equal(state.hidden[PATH], prev):
-                return frames
-            prev = state.hidden[PATH].copy()
-        raise MazeError("no extraction fixpoint")
+    """Hidden state of every step of one run, the halting step included."""
+    frames: list[np.ndarray] = []
+
+    def observe(state):
+        frames.append(state.hidden)
+
     if algo == "dfs":
-        if start is None:
-            start = _first_empty(maze)
-        frames = []
-        for state in dfs_states(maze, start, DfsConfig()):
-            frames.append(state.hidden.copy())
-            popped_now = state.popped is not None and state.popped.any()
-            if (
-                state.hidden[PEBBLE].max() == 0.0
-                and state.hidden[STACK].max() == 0.0
-                and not popped_now
-                and state.step > 1
-            ):
-                return frames
-            if state.step >= 16 * H * W:
-                raise MazeError("DFS did not terminate; no trace")
-    raise MazeError(f"unknown trace algorithm {algo!r}")
-
-
-def _bidir_onehot(maze: Maze) -> np.ndarray:
-    from .grid import one_hot
-
-    if maze.source is None or maze.target is None:
-        raise MazeError("bfs trace needs source and target")
-    return one_hot(maze)
+        run_dfs(maze, _dfs_start(maze, start), observe=observe)
+        return frames
+    bfs = run_bfs(maze, observe=observe if algo == "bfs" else None)
+    if not bfs.met:
+        raise MazeError("floods never met; no trace")
+    if algo == "extract":
+        run_extract(bfs, observe=observe)
+    return frames
 
 
 def cmd_trace(args) -> int:
     maze = _load_maze(args.maze)
-    start = _parse_tile(args.start, maze) if args.start else None
-    frames = _collect_frames(maze, args.algo, start)
+    frames = _collect_frames(maze, args.algo, _parse_start(args.start, maze))
     write_trace(args.out, frames)
     print(f"wrote {len(frames)} steps to {args.out}")
     return 0
@@ -241,8 +212,7 @@ def _format_plane(plane: np.ndarray) -> str:
 
 def cmd_render(args) -> int:
     maze = _load_maze(args.maze)
-    start = _parse_tile(args.start, maze) if args.start else None
-    frames = _collect_frames(maze, args.algo, start)
+    frames = _collect_frames(maze, args.algo, _parse_start(args.start, maze))
     if not 0 <= args.channel < frames[0].shape[0]:
         raise UsageError(
             f"channel {args.channel} out of range (0..{frames[0].shape[0] - 1})"

@@ -10,23 +10,25 @@ tile -- gets stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+import functools
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .grid import Maze, MazeError
 from .bfs import inject_endpoints
+from .loop import run
 from .tensor import KernelStack, conv2d, relu, sawtooth, step, zeros_kernel
 
 # hidden channel registry
 ROUTE = 0
 ROUTE_DIRS = [1, 2, 3, 4]  # down, right, up, left arrivals
 STACK, STACK_RANK, STACK_DIR = 5, 6, 7
-PEBBLE, SINCE_BIN, SINCE = 8, 9, 10
-N_HIDDEN = 11
-# conv input order: 11 hidden channels then the maze one-hot
-IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = 11, 12, 13, 14
+PEBBLE = 8
+N_HIDDEN = 9
+# conv input order: 9 hidden channels then the maze one-hot
+IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = 9, 10, 11, 12
 
 # 5x5 kernel offsets watched by each directional route channel: the position
 # of the neighbour a route arrives FROM (down-move looks up, and so on)
@@ -70,16 +72,9 @@ def _w_direction() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DfsConfig:
-    L: int | None = None  # sentinel masking empty ranks; default 4*H*W + 8
-    max_steps: int | None = None  # default 16*H*W
-
-
-@dataclass(frozen=True)
 class DfsState:
-    hidden: np.ndarray  # 11 x H x W
+    hidden: np.ndarray  # 9 x H x W
     maze_onehot: np.ndarray  # 4 x H x W with the start tile as source
-    previous_route: np.ndarray  # H x W snapshot for the pebble skip connection
     step: int = 0
     popped: np.ndarray | None = None  # H x W pop indicator of the last step
 
@@ -96,7 +91,7 @@ def build_dfs_weights() -> KernelStack:
     w2 = _w2()
     wa = _w_adjacent()
     wp = _w_direction()
-    ks = zeros_kernel(N_HIDDEN, 15, 5)
+    ks = zeros_kernel(N_HIDDEN, N_HIDDEN + 4, 5)
     w = ks.weights
 
     w[ROUTE, IN_SOURCE] = w2
@@ -127,38 +122,22 @@ def build_dfs_weights() -> KernelStack:
     w[STACK_RANK, IN_WALL] = -2.0 * w2
     w[STACK_RANK, ROUTE] = -2.0 * w2
     w[STACK_RANK, STACK] = w2
-
-    w[SINCE_BIN, PEBBLE] = w2
-    w[SINCE_BIN, SINCE_BIN] = w2
-    w[SINCE, SINCE_BIN] = w2
-    w[SINCE, SINCE] = w2
     return ks
 
 
-_WEIGHTS: KernelStack | None = None
-
-
+@functools.cache
 def _weights() -> KernelStack:
-    global _WEIGHTS
-    if _WEIGHTS is None:
-        _WEIGHTS = build_dfs_weights()
-    return _WEIGHTS
+    return build_dfs_weights()
 
 
 def initial_state(maze: Maze, start: tuple[int, int]) -> DfsState:
     onehot = inject_endpoints(maze, source=start)
-    H, W = maze.walls.shape
-    return DfsState(
-        hidden=np.zeros((N_HIDDEN, H, W)),
-        maze_onehot=onehot,
-        previous_route=np.zeros((H, W)),
-    )
+    return DfsState(hidden=np.zeros((N_HIDDEN, *maze.walls.shape)), maze_onehot=onehot)
 
 
-def dfs_step(state: DfsState, cfg: DfsConfig | None = None) -> DfsState:
-    cfg = cfg or DfsConfig()
+def dfs_step(state: DfsState) -> DfsState:
     _, H, W = state.hidden.shape
-    L = cfg.L if cfg.L is not None else 4 * H * W + 8
+    L = 4 * H * W + 8  # sentinel rank for tiles off the stack
     prev = state.hidden
 
     x = np.concatenate([state.hidden, state.maze_onehot])
@@ -179,7 +158,7 @@ def dfs_step(state: DfsState, cfg: DfsConfig | None = None) -> DfsState:
     out[STACK] -= prev[STACK] * dbl
     out[STACK_RANK] -= (prev[STACK_RANK] + 1.0) * dbl
 
-    out[PEBBLE] = out[ROUTE] - state.previous_route
+    out[PEBBLE] = out[ROUTE] - prev[ROUTE]
     is_stuck = sawtooth(np.array(out[PEBBLE].max()), 0)
 
     # Pop read-out.  Ranks carry fifth-valued direction offsets, so the
@@ -201,49 +180,52 @@ def dfs_step(state: DfsState, cfg: DfsConfig | None = None) -> DfsState:
         out[ch][routed] = 0.0
 
     return DfsState(
-        hidden=out,
-        maze_onehot=state.maze_onehot,
-        previous_route=out[ROUTE].copy(),
-        step=state.step + 1,
-        popped=popped_tiles,
+        hidden=out, maze_onehot=state.maze_onehot, step=state.step + 1, popped=popped_tiles
     )
 
 
-def dfs_states(maze: Maze, start: tuple[int, int], cfg: DfsConfig | None = None) -> Iterator[DfsState]:
-    state = initial_state(maze, start)
-    while True:
-        state = dfs_step(state, cfg)
-        yield state
+def drained(prev: DfsState, state: DfsState) -> bool:
+    """Halting rule: no pebble, an empty stack and no pop this step.  A pop
+    empties the stack one step before the popped tile's pebble appears, so a
+    pop step never counts as termination."""
+    return (
+        state.step > 1
+        and state.hidden[PEBBLE].max() == 0.0
+        and state.hidden[STACK].max() == 0.0
+        and not state.popped.any()
+    )
 
 
-def run_dfs(maze: Maze, start: tuple[int, int], cfg: DfsConfig | None = None) -> DfsTrace:
+def run_dfs(
+    maze: Maze,
+    start: tuple[int, int],
+    max_steps: int | None = None,
+    observe: Callable[[DfsState], object] | None = None,
+) -> DfsTrace:
     """Run to completion: route covers the start's component and the stack
     drains.  The trace records pebble positions (the visit order), their
-    steps, and pop events."""
-    cfg = cfg or DfsConfig()
+    steps, and pop events.  ``max_steps`` defaults to 16*H*W; ``observe``
+    sees every state."""
     if not maze.contains(start):
         raise MazeError(f"DFS start {start} is outside the {maze.height}x{maze.width} maze")
     if maze.walls[start]:
         raise MazeError(f"DFS start {start} is a wall")
-    H, W = maze.walls.shape
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 16 * H * W
+    if max_steps is None:
+        max_steps = 16 * maze.height * maze.width
     trace = DfsTrace()
-    for state in dfs_states(maze, start, cfg):
-        pebble = state.hidden[PEBBLE]
-        if pebble.max() > 0.0:
-            pos = np.argwhere(pebble > 0.0)
-            trace.visit_order.append((int(pos[0][0]), int(pos[0][1])))
+
+    def record(state: DfsState) -> None:
+        pebble = np.argwhere(state.hidden[PEBBLE] > 0.0)
+        if len(pebble):
+            trace.visit_order.append((int(pebble[0][0]), int(pebble[0][1])))
             trace.visit_steps.append(state.step)
-        if state.popped is not None and state.popped.any():
-            for p in np.argwhere(state.popped):
-                trace.pop_events.append((state.step, (int(p[0]), int(p[1]))))
-        # a pop empties the stack one step before the popped tile's pebble
-        # appears, so a pop step never counts as termination
-        popped_now = state.popped is not None and state.popped.any()
-        if (pebble.max() == 0.0 and state.hidden[STACK].max() == 0.0
-                and not popped_now and state.step > 1):
-            trace.steps_used = state.step
-            return trace
-        if state.step >= max_steps:
-            raise MazeError(f"DFS did not terminate within {max_steps} steps")
-    raise AssertionError("unreachable")
+        for p in np.argwhere(state.popped):
+            trace.pop_events.append((state.step, (int(p[0]), int(p[1]))))
+        if observe is not None:
+            observe(state)
+
+    state, done = run(dfs_step, initial_state(maze, start), drained, max_steps, record)
+    if not done:
+        raise MazeError(f"DFS did not terminate within {max_steps} steps")
+    trace.steps_used = state.step
+    return trace

@@ -8,11 +8,14 @@ meeting point toward both endpoints and covers every shortest path at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .bfs import AGE, FLOOD_S, FLOOD_T, BfsResult
+from .bfs import BfsResult, flood_horizon
+from .loop import run
 from .grid import CH_SOURCE, CH_TARGET, MazeError
 from .tensor import KernelStack, conv2d, sawtooth, step, w_center3, w_offset3, zeros_kernel
 
@@ -57,14 +60,9 @@ def build_extract_weights() -> KernelStack:
     return ks
 
 
-_WEIGHTS: KernelStack | None = None
-
-
+@functools.cache
 def _weights() -> KernelStack:
-    global _WEIGHTS
-    if _WEIGHTS is None:
-        _WEIGHTS = build_extract_weights()
-    return _WEIGHTS
+    return build_extract_weights()
 
 
 def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
@@ -85,27 +83,29 @@ def extract_step(state: ExtractState) -> ExtractState:
     return replace(state, hidden=out, step=state.step + 1)
 
 
-def run_extract(bfs: BfsResult, max_steps: int | None = None) -> ExtractResult:
+def path_fixpoint(prev: ExtractState, state: ExtractState) -> bool:
+    """Halting rule: the path channel stopped changing."""
+    return np.array_equal(state.hidden[PATH], prev.hidden[PATH])
+
+
+def run_extract(
+    bfs: BfsResult, observe: Callable[[ExtractState], object] | None = None
+) -> ExtractResult:
+    """Grow the path to its fixpoint; ``observe`` sees every state, the
+    fixpoint state included.  ``steps_used`` is the step of the last change,
+    one before the fixpoint is detected."""
     if not bfs.met:
         raise MazeError("extraction needs a met flood result")
     onehot = bfs.final.maze_onehot
     _, H, W = onehot.shape
-    if max_steps is None:
-        max_steps = 4 * H * W
+    horizon = flood_horizon(H, W)
     state = initial_state(bfs.final.hidden)
-    last_change = 0
-    prev = state.hidden[PATH].copy()
-    for _ in range(max_steps):
-        state = extract_step(state)
-        if np.array_equal(state.hidden[PATH], prev):
-            mask = prev > 0.0
-            src = np.argwhere(onehot[CH_SOURCE] > 0)
-            tgt = np.argwhere(onehot[CH_TARGET] > 0)
-            if not (mask[tuple(src[0])] and mask[tuple(tgt[0])]):
-                raise ExtractionFailed(
-                    "path fixpoint does not cover source and target"
-                )
-            return ExtractResult(mask=mask, steps_used=last_change)
-        prev = state.hidden[PATH].copy()
-        last_change = state.step
-    raise MazeError(f"no path fixpoint within {max_steps} steps")
+    state, done = run(extract_step, state, path_fixpoint, horizon, observe)
+    if not done:
+        raise MazeError(f"no path fixpoint within {horizon} steps")
+    mask = state.hidden[PATH] > 0.0
+    src = np.argwhere(onehot[CH_SOURCE] > 0)
+    tgt = np.argwhere(onehot[CH_TARGET] > 0)
+    if not (mask[tuple(src[0])] and mask[tuple(tgt[0])]):
+        raise ExtractionFailed("path fixpoint does not cover source and target")
+    return ExtractResult(mask=mask, steps_used=state.step - 1)

@@ -121,33 +121,6 @@ def sawtooth(x: np.ndarray, a: int) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(x - a))
 
 
-def apply_activation(x: np.ndarray, channel: int, kind: str, a: int = 0) -> np.ndarray:
-    if not 0 <= channel < x.shape[0]:
-        raise TensorError(f"channel {channel} out of range for {x.shape[0]} channels")
-    out = x.copy()
-    if kind == "step":
-        out[channel] = step(x[channel])
-    elif kind == "relu":
-        out[channel] = relu(x[channel])
-    elif kind == "sawtooth":
-        out[channel] = sawtooth(x[channel], a)
-    else:
-        raise TensorError(f"unknown activation {kind!r}")
-    return out
-
-
-def channel_reduce(x: np.ndarray, channel: int, mode: str) -> float | None:
-    if not 0 <= channel < x.shape[0]:
-        raise TensorError(f"channel {channel} out of range")
-    plane = x[channel]
-    if mode == "spatial_max":
-        return float(plane.max())
-    if mode == "spatial_min_positive":
-        positive = plane[plane > 0.0]
-        return float(positive.min()) if positive.size else None
-    raise TensorError(f"unknown reduce mode {mode!r}")
-
-
 def assert_integer_valued(x: np.ndarray, tol: float = 1e-9) -> None:
     if np.abs(x - np.round(x)).max() >= tol:
         raise TensorError("channel expected to be integer-valued")

@@ -2,9 +2,10 @@
 
 Each check regenerates maze ``index`` from ``default_rng([seed, index])``,
 runs the relevant automaton, and compares every observable against the
-classical reference implementation.  Checks return None on success or a
-human-readable failure message, and are plain module-level functions so the
-driver can fan them out across processes.
+classical reference implementation; per-step invariants are checked by an
+observer on the automaton's own run.  Checks return None on success or a
+human-readable failure message, and are plain module-level functions so
+``verify_task`` can fan them out across processes.
 """
 
 from __future__ import annotations
@@ -15,17 +16,21 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bfs import FLOOD_S, FLOOD_T, BfsResult, bfs_states
-from .dfs import PEBBLE, ROUTE, STACK, DfsConfig, dfs_states
+from .bfs import FLOOD_S, FLOOD_T, run_bfs
+from .dfs import PEBBLE, ROUTE, run_dfs
 from .diameter import diameter_nca
 from .extract import run_extract
-from .grid import GenConfig, Maze, generate_maze, one_hot
+from .grid import GenConfig, Maze, MazeError, generate_maze
 from .oracle import (
     dfs_order,
     diameter_oracle,
     distance_map,
     shortest_path_union,
 )
+
+
+class Mismatch(Exception):
+    """Raised by an observer at the first step that breaks an invariant."""
 
 
 def seeded_maze(task: str, height: int, width: int, seed: int, index: int) -> Maze:
@@ -42,22 +47,22 @@ def check_shortest_path(args: tuple[int, int, int]) -> str | None:
     dt = distance_map(maze, maze.target)
     d, union = shortest_path_union(maze)
 
-    met = None
-    for state in bfs_states(one_hot(maze)):
+    def balls(state):
         t = state.step
         for name, ch, dist in (("flood_s", FLOOD_S, ds), ("flood_t", FLOOD_T, dt)):
             ball = (dist >= 0) & (dist <= t - 1)
             if not np.array_equal(state.hidden[ch] > 0.0, ball):
-                return f"maze {index}: {name} support != BFS ball at step {t}"
-        if np.any(state.hidden[FLOOD_S] * state.hidden[FLOOD_T] > 0.0):
-            met = state
-            break
-        if t > 4 * size * size:
-            return f"maze {index}: floods never met"
+                raise Mismatch(f"{name} support != BFS ball at step {t}")
 
-    if met.step != math.ceil(d / 2) + 1:
-        return f"maze {index}: meet_step {met.step} != ceil({d}/2)+1"
-    mask = run_extract(BfsResult(met=True, meet_step=met.step, final=met)).mask
+    try:
+        bfs = run_bfs(maze, observe=balls)
+    except Mismatch as exc:
+        return f"maze {index}: {exc}"
+    if not bfs.met:
+        return f"maze {index}: floods never met"
+    if bfs.meet_step != math.ceil(d / 2) + 1:
+        return f"maze {index}: meet_step {bfs.meet_step} != ceil({d}/2)+1"
+    mask = run_extract(bfs).mask
     if not np.array_equal(mask, union):
         return f"maze {index}: extracted mask != shortest-path union"
     return None
@@ -72,28 +77,22 @@ def check_dfs(args: tuple[int, int, int]) -> str | None:
     start = tuple(int(v) for v in np.argwhere(~maze.walls)[0])
     expected = dfs_order(maze, start)
 
-    visits: list[tuple[int, int]] = []
     prev_route = np.zeros(maze.walls.shape)
-    max_steps = 16 * size * size
-    for state in dfs_states(maze, start, DfsConfig()):
-        pebble = state.hidden[PEBBLE]
-        n_pebbles = int(np.count_nonzero(pebble > 0.0))
+
+    def invariants(state):
+        nonlocal prev_route
+        n_pebbles = int(np.count_nonzero(state.hidden[PEBBLE] > 0.0))
         if n_pebbles > 1:
-            return f"maze {index}: {n_pebbles} pebbles at step {state.step}"
+            raise Mismatch(f"{n_pebbles} pebbles at step {state.step}")
         route = state.hidden[ROUTE]
         if np.any((prev_route > 0.0) & (route <= 0.0)):
-            return f"maze {index}: route lost a tile at step {state.step}"
+            raise Mismatch(f"route lost a tile at step {state.step}")
         prev_route = route
-        if n_pebbles == 1:
-            pos = np.argwhere(pebble > 0.0)[0]
-            visits.append((int(pos[0]), int(pos[1])))
-        popped_now = state.popped is not None and state.popped.any()
-        if (pebble.max() == 0.0 and state.hidden[STACK].max() == 0.0
-                and not popped_now and state.step > 1):
-            break
-        if state.step >= max_steps:
-            return f"maze {index}: DFS did not terminate in {max_steps} steps"
 
+    try:
+        visits = run_dfs(maze, start, observe=invariants).visit_order
+    except (Mismatch, MazeError) as exc:
+        return f"maze {index}: {exc}"
     if visits != expected:
         return f"maze {index}: visit order differs from oracle ({visits[:6]}...)"
     return None

@@ -9,12 +9,11 @@ from mazenca.bfs import (
     AGE,
     FLOOD_S,
     FLOOD_T,
-    bfs_states,
     build_bfs_weights,
     inject_endpoints,
     run_bfs,
 )
-from mazenca.grid import GenConfig, MazeError, generate_maze, one_hot, parse_maze
+from mazenca.grid import GenConfig, MazeError, generate_maze, parse_maze
 from mazenca.oracle import distance_map, shortest_path_union
 from mazenca.tensor import assert_integer_valued
 
@@ -62,16 +61,20 @@ def test_flood_support_equals_bfs_ball_each_step(seed):
     ds = distance_map(maze, maze.source)
     dt = distance_map(maze, maze.target)
     d, _ = shortest_path_union(maze)
-    for state in bfs_states(one_hot(maze)):
+    steps = []
+
+    def observe(state):
         t = state.step
+        steps.append(t)
         np.testing.assert_array_equal(state.hidden[FLOOD_S] > 0.0,
                                       (ds >= 0) & (ds <= t - 1))
         np.testing.assert_array_equal(state.hidden[FLOOD_T] > 0.0,
                                       (dt >= 0) & (dt <= t - 1))
         assert_integer_valued(state.hidden)
-        if np.any(state.hidden[FLOOD_S] * state.hidden[FLOOD_T] > 0.0):
-            assert t == math.ceil(d / 2) + 1
-            break
+
+    result = run_bfs(maze, observe=observe)
+    assert result.met and result.meet_step == math.ceil(d / 2) + 1
+    assert steps == list(range(1, result.meet_step + 1))
 
 
 @settings(max_examples=30, deadline=None)

@@ -132,7 +132,7 @@ def test_trace_extract_and_dfs(tmp_path):
     out2 = tmp_path / "d.trace"
     assert main(["trace", "--maze", path2, "--algo", "dfs", "--out", str(out2),
                  "--start", "0,0"]) == 0
-    assert read_trace(out2).shape[1] == 11
+    assert read_trace(out2).shape[1] == 9
 
 
 def test_render_command(tmp_path, capsys):
@@ -156,6 +156,23 @@ def test_dfs_start_outside_maze_is_usage_error(tmp_path, capsys, start):
     assert main(["dfs", "--maze", path, f"--start={start}"]) == 2
     captured = capsys.readouterr()
     assert "outside" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("cmd", [
+    ["dfs"],
+    ["trace", "--algo", "dfs", "--out", "unused.trace"],
+    ["render", "--algo", "dfs"],
+])
+def test_dfs_start_on_a_wall_is_usage_error(tmp_path, capsys, cmd):
+    path = write_maze(tmp_path, ".#\n..")
+    assert main([cmd[0], "--maze", path, "--start", "0,1", *cmd[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "(0, 1) is a wall" in captured.err and captured.out == ""
+
+
+def test_verify_non_square_size_is_usage_error(capsys):
+    assert main(["verify", "--task", "dfs", "--n", "1", "--size", "8x12"]) == 2
+    assert "square" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["budget:x", "budget:0", "budgetx"])

@@ -7,9 +7,7 @@ from mazenca.dfs import (
     PEBBLE,
     ROUTE,
     STACK,
-    DfsConfig,
     build_dfs_weights,
-    dfs_states,
     run_dfs,
 )
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
@@ -18,7 +16,7 @@ from mazenca.oracle import dfs_order
 
 def test_weight_shapes():
     ks = build_dfs_weights()
-    assert ks.weights.shape == (11, 15, 5, 5)
+    assert ks.weights.shape == (9, 13, 5, 5)
 
 
 def walls_only(text):
@@ -84,25 +82,24 @@ def test_visit_order_matches_oracle(seed, size):
 def test_single_pebble_and_route_monotonicity(seed):
     maze = generate_maze(GenConfig(width=6, height=6, task="diameter", seed=seed))
     start = tuple(int(v) for v in np.argwhere(~maze.walls)[0])
-    prev_route = np.zeros(maze.walls.shape)
-    for state in dfs_states(maze, start, DfsConfig()):
+    routes = [np.zeros(maze.walls.shape)]
+
+    def observe(state):
         assert np.count_nonzero(state.hidden[PEBBLE] > 0.0) <= 1
         route = state.hidden[ROUTE]
-        assert not np.any((prev_route > 0.0) & (route <= 0.0))
+        assert not np.any((routes[-1] > 0.0) & (route <= 0.0))
         # route and stack stay disjoint at every observable state
         assert not np.any((route > 0.0) & (state.hidden[STACK] > 0.0))
-        prev_route = route
-        popped = state.popped is not None and state.popped.any()
-        if (state.hidden[PEBBLE].max() == 0.0 and state.hidden[STACK].max() == 0.0
-                and not popped and state.step > 1):
-            break
-        assert state.step < 16 * maze.height * maze.width
+        routes.append(route)
+
+    trace = run_dfs(maze, start, observe=observe)
+    assert len(routes) == trace.steps_used + 1
 
 
 def test_nonterminating_budget_raises():
     maze = walls_only("......")
     with pytest.raises(MazeError):
-        run_dfs(maze, (0, 0), DfsConfig(max_steps=2))
+        run_dfs(maze, (0, 0), max_steps=2)
 
 
 def test_trace_is_deterministic():

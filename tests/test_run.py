@@ -1,0 +1,95 @@
+"""The shared run loop: trace frames come from the automata's own runs, the
+traces are unchanged, and step functions are looked up at call time."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import mazenca.bfs
+from mazenca.bfs import run_bfs
+from mazenca.cli import main
+from mazenca.dataset import read_trace
+from mazenca.dfs import run_dfs
+from mazenca.extract import run_extract
+from mazenca.grid import GenConfig, generate_maze, parse_maze, render_maze
+from mazenca.loop import run
+
+# 12 x 9 maze whose traces were hashed before the run loop was shared
+GOLDEN_MAZE = """\
+.#..###.#
+##.#.#.#.
+.#.##.#..
+#####.#..
+..#.#.#..
+...###.#.
+.##......
+###......
+#..S.#...
+#..##...T
+####..#.#
+......#..
+"""
+GOLDEN_SHA256 = {
+    "bfs": "6d4e5554fb427a2121ee06f15d09dc1f893dbb085b539ba46a64baa083164904",
+    "extract": "bf9f6a41b6a4e9128111651a1fdcdffcd3cfb02143e4dd893cd12def67a24317",
+}
+
+
+def _mazes():
+    texts = ["S......T", "S\n.\n.\n.\n.\nT", "S...\n....\n....\n...T", "ST"]
+    for i, (h, w) in enumerate([(6, 6), (8, 8), (5, 11), (10, 4)]):
+        maze = generate_maze(GenConfig(width=w, height=h), rng=np.random.default_rng([5, i]))
+        texts.append(render_maze(maze))
+    return texts
+
+
+def _trace_frames(tmp_path, text, algo):
+    path = tmp_path / "maze.txt"
+    path.write_text(text)
+    out = tmp_path / f"{algo}.trace"
+    assert main(["trace", "--maze", str(path), "--algo", algo, "--out", str(out)]) == 0
+    return read_trace(out)
+
+
+@pytest.mark.parametrize("text", _mazes())
+def test_trace_frame_counts_match_the_runs(tmp_path, text):
+    maze = parse_maze(text)
+    bfs = run_bfs(maze)
+    assert len(_trace_frames(tmp_path, text, "bfs")) == bfs.meet_step
+    # the fixpoint is detected one step after the path last changed
+    fixpoint_step = run_extract(bfs).steps_used + 1
+    assert len(_trace_frames(tmp_path, text, "extract")) == fixpoint_step
+    start = tuple(int(v) for v in np.argwhere(~maze.walls)[0])
+    assert len(_trace_frames(tmp_path, text, "dfs")) == run_dfs(maze, start).steps_used
+
+
+@pytest.mark.parametrize("algo", ["bfs", "extract"])
+def test_trace_bytes_are_unchanged(tmp_path, algo):
+    path = tmp_path / "maze.txt"
+    path.write_text(GOLDEN_MAZE)
+    out = tmp_path / "run.trace"
+    assert main(["trace", "--maze", str(path), "--algo", algo, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[algo]
+
+
+def test_step_function_is_looked_up_at_call_time(monkeypatch):
+    # the benchmark's tracer swaps mazenca.bfs.bfs_step by name
+    calls = []
+    original = mazenca.bfs.bfs_step
+
+    def counting(state):
+        calls.append(state.step)
+        return original(state)
+
+    monkeypatch.setattr(mazenca.bfs, "bfs_step", counting)
+    result = run_bfs(parse_maze(GOLDEN_MAZE))
+    assert result.met and len(calls) == result.meet_step
+
+
+def test_run_loop_halts_observes_and_stops_at_horizon():
+    seen = []
+    state, halted = run(lambda s: s + 1, 0, lambda prev, s: s == 3, 10, seen.append)
+    assert (state, halted, seen) == (3, True, [1, 2, 3])
+    state, halted = run(lambda s: s + 1, 0, lambda prev, s: False, 4)
+    assert (state, halted) == (4, False)

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from mazenca.tensor import (
     KernelStack,
     TensorError,
-    apply_activation,
     assert_integer_valued,
-    channel_reduce,
     conv2d,
     relu,
     sawtooth,
@@ -115,26 +113,6 @@ def test_sawtooth_is_integer_indicator(x, a):
 def test_sawtooth_triangular_between_integers():
     assert sawtooth(np.array(1.6), 2) == pytest.approx(0.6)
     assert sawtooth(np.array(2.4), 2) == pytest.approx(0.6)
-
-
-def test_apply_activation_dispatch():
-    x = np.array([[[-1.0, 2.0]], [[3.0, -4.0]]])
-    assert apply_activation(x, 0, "step")[0, 0, 1] == 1.0
-    assert apply_activation(x, 1, "relu")[1, 0, 1] == 0.0
-    assert apply_activation(x, 1, "sawtooth", a=3)[1, 0, 0] == 1.0
-    with pytest.raises(TensorError):
-        apply_activation(x, 5, "step")
-    with pytest.raises(TensorError):
-        apply_activation(x, 0, "softmax")
-
-
-def test_channel_reduce():
-    x = np.array([[[0.0, 3.0], [2.0, 0.0]]])
-    assert channel_reduce(x, 0, "spatial_max") == 3.0
-    assert channel_reduce(x, 0, "spatial_min_positive") == 2.0
-    assert channel_reduce(np.zeros((1, 2, 2)), 0, "spatial_min_positive") is None
-    with pytest.raises(TensorError):
-        channel_reduce(x, 0, "median")
 
 
 def test_assert_integer_valued():
