@@ -2,9 +2,11 @@
 
 Two binary flood channels grow outward from source and target one ring per
 step; the age channel counts, per tile, the steps since each flood arrived.
-The run freezes at the first step where the floods overlap.  A single-source
-mode (used by the diameter algorithm) floods from one injected tile and runs
-to a fixpoint instead.
+The run freezes at the first step where the floods overlap, or when the
+source flood stops growing without an overlap, which proves the target
+unreachable.  A single-source mode (used by the diameter algorithm) floods
+from one injected tile and runs to a fixpoint instead.  The state is an
+integer tensor in ``flood_dtype``.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ import numpy as np
 
 from .loop import run
 from .grid import CH_SOURCE, CH_TARGET, CH_EMPTY, Maze, MazeError, one_hot
-from .tensor import (
-    KernelStack,
-    conv2d,
-    step,
-    w_center3,
-    w_von_neumann,
-    zeros_kernel,
-)
+from .tensor import KernelStack, conv2d, int_dtype, step, w_center3, w_von_neumann
 
 # hidden channel registry
 FLOOD_S, FLOOD_T, AGE = 0, 1, 2
@@ -51,8 +46,7 @@ class BfsResult:
 def build_bfs_weights() -> KernelStack:
     w1 = w_center3()
     wt = w_von_neumann()
-    ks = zeros_kernel(N_HIDDEN, 7, 3)
-    w = ks.weights
+    w = np.zeros((N_HIDDEN, 7, 3, 3))
     w[FLOOD_S, IN_SOURCE] = w1
     w[FLOOD_S, IN_FLOOD_S] = wt
     w[FLOOD_S, IN_WALL] = -6.0 * w1
@@ -62,7 +56,7 @@ def build_bfs_weights() -> KernelStack:
     w[AGE, IN_FLOOD_S] = w1
     w[AGE, IN_FLOOD_T] = w1
     w[AGE, IN_AGE] = w1
-    return ks
+    return KernelStack(weights=w, bias=np.zeros(N_HIDDEN))
 
 
 @functools.cache
@@ -70,9 +64,20 @@ def _weights() -> KernelStack:
     return build_bfs_weights()
 
 
+def flood_dtype(height: int, width: int) -> np.dtype:
+    """Integer dtype of a flood over an H x W maze."""
+    # a flood halts by step H*W+1, as it grows a tile per step until it meets
+    # or settles, so ages stay within the horizon; flood pre-activations lie
+    # in [-6, 6]
+    return int_dtype(max(flood_horizon(height, width), 6))
+
+
 def initial_state(maze_onehot: np.ndarray) -> BfsState:
     _, H, W = maze_onehot.shape
-    return BfsState(hidden=np.zeros((N_HIDDEN, H, W)), maze_onehot=maze_onehot)
+    dtype = flood_dtype(H, W)
+    return BfsState(
+        hidden=np.zeros((N_HIDDEN, H, W), dtype), maze_onehot=maze_onehot.astype(dtype)
+    )
 
 
 def bfs_step(state: BfsState) -> BfsState:
@@ -92,8 +97,8 @@ def inject_endpoints(
     """One-hot encoding with virtual endpoints replacing the maze's own."""
     enc = one_hot(maze)
     for ch in (CH_SOURCE, CH_TARGET):
-        enc[CH_EMPTY] += enc[ch]
-        enc[ch] = 0.0
+        enc[CH_EMPTY] |= enc[ch]
+        enc[ch] = False
     for ch, pos in ((CH_SOURCE, source), (CH_TARGET, target)):
         if pos is None:
             continue
@@ -103,8 +108,8 @@ def inject_endpoints(
             )
         if maze.walls[pos]:
             raise MazeError(f"injected endpoint {pos} is a wall")
-        enc[ch][pos] = 1.0
-        enc[CH_EMPTY][pos] = 0.0
+        enc[ch][pos] = True
+        enc[CH_EMPTY][pos] = False
     return enc
 
 
@@ -114,14 +119,22 @@ def flood_horizon(height: int, width: int) -> int:
     return 4 * height * width
 
 
-def floods_met(prev: BfsState, state: BfsState) -> bool:
-    """Bidirectional halting rule: the two floods overlap somewhere."""
-    return bool(np.any(state.hidden[FLOOD_S] * state.hidden[FLOOD_T] > 0.0))
+def floods_met(state: BfsState) -> bool:
+    """The two floods overlap somewhere."""
+    return bool(np.any(state.hidden[FLOOD_S] & state.hidden[FLOOD_T]))
 
 
 def flood_fixpoint(prev: BfsState, state: BfsState) -> bool:
     """Single-source halting rule: the source flood stopped changing."""
     return np.array_equal(state.hidden[FLOOD_S], prev.hidden[FLOOD_S])
+
+
+def floods_halted(prev: BfsState, state: BfsState) -> bool:
+    """Bidirectional halting rule: the floods overlap, or the source flood
+    stopped changing without an overlap.  A settled source flood covers its
+    whole component and the target flood always holds the target, so the
+    second case proves the target unreachable."""
+    return floods_met(state) or flood_fixpoint(prev, state)
 
 
 def run_bfs(
@@ -131,9 +144,10 @@ def run_bfs(
     max_steps: int | None = None,
     observe: Callable[[BfsState], object] | None = None,
 ) -> BfsResult:
-    """Bidirectional mode runs until the floods first overlap; single-source
-    mode floods from ``at`` until the flood stops changing.  ``max_steps``
-    defaults to ``flood_horizon(H, W)``; ``observe`` sees every state."""
+    """Bidirectional mode runs until the floods first overlap or the target
+    proves unreachable; single-source mode floods from ``at`` until the flood
+    stops changing.  ``max_steps`` defaults to ``flood_horizon(H, W)``;
+    ``observe`` sees every state."""
     if max_steps is None:
         max_steps = flood_horizon(maze.height, maze.width)
     if max_steps < 1:
@@ -141,7 +155,8 @@ def run_bfs(
     if mode == "bidirectional":
         if maze.source is None or maze.target is None:
             raise MazeError("bidirectional flood needs source and target")
-        state, met = run(bfs_step, initial_state(one_hot(maze)), floods_met, max_steps, observe)
+        state, _ = run(bfs_step, initial_state(one_hot(maze)), floods_halted, max_steps, observe)
+        met = floods_met(state)
         return BfsResult(met=met, meet_step=state.step if met else None, final=state)
     if mode == "single_source":
         if at is None:

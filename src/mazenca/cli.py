@@ -203,11 +203,7 @@ def cmd_trace(args) -> int:
 
 
 def _format_plane(plane: np.ndarray) -> str:
-    if np.all(plane == np.round(plane)):
-        cells = [[f"{int(v):3d}" for v in row] for row in plane]
-    else:
-        cells = [[f"{v:5.1f}" for v in row] for row in plane]
-    return "\n".join(" ".join(row) for row in cells)
+    return "\n".join(" ".join(f"{int(v):3d}" for v in row) for row in plane)
 
 
 def cmd_render(args) -> int:

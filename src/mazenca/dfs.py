@@ -5,7 +5,9 @@ step.  Directional priority (down > right > up > left) is enforced by 5x5
 kernels that look at a neighbour's own higher-priority neighbours; ignored
 tiles land on a neural stack (stack / stack_rank / stack_direction) and are
 popped, most recent first, whenever the pebble -- the single newly-routed
-tile -- gets stuck.
+tile -- gets stuck.  A stacked tile's rank counts its steps on the stack and
+its direction is the integer code 1..4 of the move that would reach it, in
+priority order, so ``5 * rank + direction`` orders pops exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .grid import Maze, MazeError
 from .bfs import inject_endpoints
 from .loop import run
-from .tensor import KernelStack, conv2d, relu, sawtooth, step, zeros_kernel
+from .tensor import KernelStack, conv2d, int_dtype, relu, sawtooth, step
 
 # hidden channel registry
 ROUTE = 0
@@ -31,10 +33,9 @@ N_HIDDEN = 9
 IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = 9, 10, 11, 12
 
 # 5x5 kernel offsets watched by each directional route channel: the position
-# of the neighbour a route arrives FROM (down-move looks up, and so on)
+# of the neighbour a route arrives FROM (down-move looks up, and so on), in
+# priority order; the direction code of the move from offset k is k + 1
 DIR_OFFSETS = [(1, 2), (2, 1), (3, 2), (2, 3)]
-# priority value of the move toward the centre from each offset
-DIR_VALUES = [0.2, 0.4, 0.6, 0.8]
 
 
 def _w2() -> np.ndarray:
@@ -66,8 +67,8 @@ def _w_adjacent() -> np.ndarray:
 
 def _w_direction() -> np.ndarray:
     m = np.zeros((5, 5))
-    for (i, j), v in zip(DIR_OFFSETS, DIR_VALUES):
-        m[i, j] = v
+    for code, (i, j) in enumerate(DIR_OFFSETS, start=1):
+        m[i, j] = code
     return m
 
 
@@ -91,8 +92,7 @@ def build_dfs_weights() -> KernelStack:
     w2 = _w2()
     wa = _w_adjacent()
     wp = _w_direction()
-    ks = zeros_kernel(N_HIDDEN, N_HIDDEN + 4, 5)
-    w = ks.weights
+    w = np.zeros((N_HIDDEN, N_HIDDEN + 4, 5, 5))
 
     w[ROUTE, IN_SOURCE] = w2
     w[ROUTE, ROUTE] = w2
@@ -112,8 +112,11 @@ def build_dfs_weights() -> KernelStack:
 
     w[STACK_DIR, PEBBLE] = wp
     w[STACK_DIR, STACK_DIR] = w2
-    w[STACK_DIR, IN_WALL] = -2.0 * w2
-    w[STACK_DIR, ROUTE] = -2.0 * w2
+    # walls and routed tiles never hold a direction, so the inhibition must
+    # outweigh any code (at most 4); 10 is the fifth-valued encoding's 2
+    # scaled by 5, which keeps this channel exactly 5x that encoding
+    w[STACK_DIR, IN_WALL] = -10.0 * w2
+    w[STACK_DIR, ROUTE] = -10.0 * w2
 
     w[STACK_RANK, PEBBLE] = w2
     # self-persistence is required for the rank to count time on the stack;
@@ -122,7 +125,7 @@ def build_dfs_weights() -> KernelStack:
     w[STACK_RANK, IN_WALL] = -2.0 * w2
     w[STACK_RANK, ROUTE] = -2.0 * w2
     w[STACK_RANK, STACK] = w2
-    return ks
+    return KernelStack(weights=w, bias=np.zeros(N_HIDDEN))
 
 
 @functools.cache
@@ -130,14 +133,17 @@ def _weights() -> KernelStack:
     return build_dfs_weights()
 
 
-def initial_state(maze: Maze, start: tuple[int, int]) -> DfsState:
-    onehot = inject_endpoints(maze, source=start)
-    return DfsState(hidden=np.zeros((N_HIDDEN, *maze.walls.shape)), maze_onehot=onehot)
+def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
+    """The state of a run of at most ``horizon`` steps."""
+    # a rank grows by at most 1 per step from 0, so every 5 * rank + direction
+    # the run reaches is below 5 * (horizon + 1); other pre-activations lie
+    # in [-10, 8]
+    dtype = int_dtype(5 * (horizon + 1))
+    onehot = inject_endpoints(maze, source=start).astype(dtype)
+    return DfsState(hidden=np.zeros((N_HIDDEN, *maze.walls.shape), dtype), maze_onehot=onehot)
 
 
 def dfs_step(state: DfsState) -> DfsState:
-    _, H, W = state.hidden.shape
-    L = 4 * H * W + 8  # sentinel rank for tiles off the stack
     prev = state.hidden
 
     x = np.concatenate([state.hidden, state.maze_onehot])
@@ -156,28 +162,27 @@ def dfs_step(state: DfsState) -> DfsState:
     dbl = sawtooth(out[STACK], 2)
     out[STACK_DIR] -= prev[STACK_DIR] * dbl
     out[STACK] -= prev[STACK] * dbl
-    out[STACK_RANK] -= (prev[STACK_RANK] + 1.0) * dbl
+    out[STACK_RANK] -= (prev[STACK_RANK] + 1) * dbl
 
     out[PEBBLE] = out[ROUTE] - prev[ROUTE]
     is_stuck = sawtooth(np.array(out[PEBBLE].max()), 0)
 
-    # Pop read-out.  Ranks carry fifth-valued direction offsets, so the
-    # zero/minimum indicators are taken exactly rather than through a
-    # unit-width sawtooth (which would fire fractionally on 0.2 gaps).
-    total_rank = out[STACK_RANK] + out[STACK_DIR]
-    total_rank = total_rank + (total_rank == 0.0) * float(L)
-    min_total = total_rank.min()
-    is_popped = (total_rank == min_total).astype(np.float64) * is_stuck
-    popped_tiles = (is_popped > 0.0) & (out[STACK] > 0.0)
+    # Pop read-out: the stacked tile with the least rank, ties broken by
+    # direction priority.  Off-stack tiles total 0 and take the dtype's
+    # maximum, which exceeds every reachable total (see initial_state).
+    total_rank = 5 * out[STACK_RANK] + out[STACK_DIR]
+    total_rank[total_rank == 0] = np.iinfo(total_rank.dtype).max
+    is_popped = (total_rank == total_rank.min()).astype(total_rank.dtype) * is_stuck
+    popped_tiles = (is_popped > 0) & (out[STACK] > 0)
     for ch in (STACK, STACK_RANK, STACK_DIR):
         out[ch] -= out[ch] * is_popped
 
     # zero stack bookkeeping on tiles the route just reached: the route
     # inhibition in the conv clears them one step later anyway, but doing it
     # here keeps route and stack disjoint at every observable state
-    routed = out[ROUTE] > 0.0
+    routed = out[ROUTE] > 0
     for ch in (STACK, STACK_RANK, STACK_DIR):
-        out[ch][routed] = 0.0
+        out[ch][routed] = 0
 
     return DfsState(
         hidden=out, maze_onehot=state.maze_onehot, step=state.step + 1, popped=popped_tiles
@@ -190,8 +195,8 @@ def drained(prev: DfsState, state: DfsState) -> bool:
     pop step never counts as termination."""
     return (
         state.step > 1
-        and state.hidden[PEBBLE].max() == 0.0
-        and state.hidden[STACK].max() == 0.0
+        and state.hidden[PEBBLE].max() == 0
+        and state.hidden[STACK].max() == 0
         and not state.popped.any()
     )
 
@@ -215,7 +220,7 @@ def run_dfs(
     trace = DfsTrace()
 
     def record(state: DfsState) -> None:
-        pebble = np.argwhere(state.hidden[PEBBLE] > 0.0)
+        pebble = np.argwhere(state.hidden[PEBBLE] > 0)
         if len(pebble):
             trace.visit_order.append((int(pebble[0][0]), int(pebble[0][1])))
             trace.visit_steps.append(state.step)
@@ -224,7 +229,7 @@ def run_dfs(
         if observe is not None:
             observe(state)
 
-    state, done = run(dfs_step, initial_state(maze, start), drained, max_steps, record)
+    state, done = run(dfs_step, initial_state(maze, start, max_steps), drained, max_steps, record)
     if not done:
         raise MazeError(f"DFS did not terminate within {max_steps} steps")
     trace.steps_used = state.step

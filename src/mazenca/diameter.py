@@ -5,13 +5,13 @@ eccentricity(u) + 1 at u itself (the longest shortest path ending at u, in
 tiles).  The paper launches one such flood per tile from a DFS and staggers
 them on shared channels, with per-launch waiting times, so that they never
 collide.  Here a canvas stands in for that schedule: every flood gets its own
-copy of the maze, the copies are stacked along the row axis of one integer
-tensor with a row of walls between neighbours, and each conv step advances
-all of them at once.  A wall row never floods and its age stays 0, so it
-isolates the copies exactly as zero padding isolates a single run.  A copy
-whose flood stopped changing has reached its fixpoint (the single-source rule
-of ``run_bfs``); its source age is read and the copy leaves the canvas, so
-later steps pay only for live floods.
+copy of the maze, the copies are stacked along the row axis of one tensor in
+the flood's integer dtype with a row of walls between neighbours, and each
+conv step advances all of them at once.  A wall row never floods and its age
+stays 0, so it isolates the copies exactly as zero padding isolates a single
+run.  A copy whose flood stopped changing has reached its fixpoint (the
+single-source rule of ``run_bfs``); its source age is read and the copy
+leaves the canvas, so later steps pay only for live floods.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .bfs import (
     N_HIDDEN,
     BfsState,
     bfs_step,
+    flood_dtype,
     flood_horizon,
     inject_endpoints,
     run_bfs,
@@ -64,18 +65,6 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
         schedule.append((launch, tile, wait))
         prev_step = visit_step
     return schedule
-
-
-def flood_dtype(height: int, width: int) -> np.dtype:
-    """Narrowest integer dtype that holds a flood over an H x W maze.  Within
-    the ``flood_horizon(H, W)`` steps a run may take, ages and age
-    pre-activations stay at or below the horizon, and flood pre-activations
-    lie in [-6, 6]."""
-    bound = max(flood_horizon(height, width), 6)
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    raise MazeError(f"flood values up to {bound} overflow int64")
 
 
 def source_ages(maze: Maze, tiles: np.ndarray) -> np.ndarray:
@@ -141,8 +130,8 @@ def diameter_nca(maze: Maze) -> DiameterRun:
     # second endpoint: farthest tile in the best endpoint's own flood, which
     # at fixpoint is the flooded tile with the smallest age (row-major ties)
     final = run_bfs(maze, mode="single_source", at=best).final.hidden
-    flooded = final[FLOOD_S] > 0.0
-    ages = np.where(flooded, final[AGE], np.iinfo(np.int64).max)
+    flooded = final[FLOOD_S] > 0
+    ages = np.where(flooded, final[AGE], np.iinfo(final.dtype).max)
     flat_far = int(np.argmin(ages))
     far = (flat_far // W, flat_far % W)
 

@@ -4,6 +4,7 @@ The path channel seeds on tiles where both floods overlap, then grows along
 the frozen age field: a tile joins the path when a path-marked neighbour's
 age is exactly one less than its own, which walks the path outward from the
 meeting point toward both endpoints and covers every shortest path at once.
+The state has the frozen flood's integer dtype.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .bfs import BfsResult, flood_horizon
 from .loop import run
 from .grid import CH_SOURCE, CH_TARGET, MazeError
-from .tensor import KernelStack, conv2d, sawtooth, step, w_center3, w_offset3, zeros_kernel
+from .tensor import KernelStack, conv2d, sawtooth, step, w_center3, w_offset3
 
 # hidden channel registry; directional channels named by the 3x3 kernel
 # offset they watch (the neighbour a path activation arrives from)
@@ -48,16 +49,16 @@ class ExtractionFailed(MazeError):
 
 def build_extract_weights() -> KernelStack:
     w1 = w_center3()
-    ks = zeros_kernel(N_HIDDEN, 8, 3)
-    w = ks.weights
+    w = np.zeros((N_HIDDEN, 8, 3, 3))
+    bias = np.zeros(N_HIDDEN)
     w[PATH, IN_FLOOD_S] = w1
     w[PATH, IN_FLOOD_T] = w1
-    ks.bias[PATH] = -1.0
+    bias[PATH] = -1.0
     for ch, (i, j) in zip(DIR_CHANNELS, DIR_OFFSETS):
         wij = w_offset3(i, j)
         w[ch, IN_AGE] = 2.0 * (wij - w1)
         w[ch, PATH] = wij
-    return ks
+    return KernelStack(weights=w, bias=bias)
 
 
 @functools.cache
@@ -67,7 +68,10 @@ def _weights() -> KernelStack:
 
 def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
     _, H, W = bfs_frozen.shape
-    return ExtractState(hidden=np.zeros((N_HIDDEN, H, W)), bfs_frozen=bfs_frozen)
+    # the frozen flood met by step ceil((H*W-1)/2)+1, so its ages are at most
+    # H*W/2 and the 2*dage +- 1 pre-activations fit in its dtype's bound
+    hidden = np.zeros((N_HIDDEN, H, W), bfs_frozen.dtype)
+    return ExtractState(hidden=hidden, bfs_frozen=bfs_frozen)
 
 
 def extract_step(state: ExtractState) -> ExtractState:
@@ -103,7 +107,7 @@ def run_extract(
     state, done = run(extract_step, state, path_fixpoint, horizon, observe)
     if not done:
         raise MazeError(f"no path fixpoint within {horizon} steps")
-    mask = state.hidden[PATH] > 0.0
+    mask = state.hidden[PATH] > 0
     src = np.argwhere(onehot[CH_SOURCE] > 0)
     tgt = np.argwhere(onehot[CH_TARGET] > 0)
     if not (mask[tuple(src[0])] and mask[tuple(tgt[0])]):

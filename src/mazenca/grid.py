@@ -137,16 +137,17 @@ def render_maze(maze: Maze, overlay: np.ndarray | None = None) -> str:
 
 
 def one_hot(maze: Maze) -> np.ndarray:
-    """4 x H x W one-hot encoding, channel order [empty, wall, source, target]."""
-    enc = np.zeros((4, maze.height, maze.width), dtype=np.float64)
+    """4 x H x W boolean one-hot encoding, channel order [empty, wall,
+    source, target]."""
+    enc = np.zeros((4, maze.height, maze.width), dtype=bool)
     enc[CH_WALL] = maze.walls
     enc[CH_EMPTY] = ~maze.walls
     if maze.source is not None:
-        enc[CH_SOURCE][maze.source] = 1.0
-        enc[CH_EMPTY][maze.source] = 0.0
+        enc[CH_SOURCE][maze.source] = True
+        enc[CH_EMPTY][maze.source] = False
     if maze.target is not None:
-        enc[CH_TARGET][maze.target] = 1.0
-        enc[CH_EMPTY][maze.target] = 0.0
+        enc[CH_TARGET][maze.target] = True
+        enc[CH_EMPTY][maze.target] = False
     return enc
 
 

@@ -1,0 +1,30 @@
+"""Seeded maze sweeps over shapes and wall densities, shared by the
+automaton-vs-oracle tests."""
+
+import numpy as np
+
+from mazenca.grid import Maze
+
+WALL_PS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+
+
+def sweep_mazes(n, max_side, seed):
+    """Seeded walls-only mazes: every 1xN and Nx1 corridor, all-open and
+    single-empty grids, then ``n`` random grids with sides in 1..max_side
+    and wall probabilities cycling through WALL_PS."""
+    mazes = []
+    for side in range(1, max_side + 1):
+        mazes.append(np.zeros((1, side), dtype=bool))
+        mazes.append(np.zeros((side, 1), dtype=bool))
+        mazes.append(np.zeros((side, max_side + 1 - side), dtype=bool))
+        single = np.ones((side, max_side), dtype=bool)
+        single[side // 2, side % max_side] = False
+        mazes.append(single)
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        h, w = (int(v) for v in rng.integers(1, max_side + 1, size=2))
+        walls = rng.random((h, w)) < WALL_PS[i % len(WALL_PS)]
+        if walls.all():
+            walls[rng.integers(h), rng.integers(w)] = False
+        mazes.append(walls)
+    return [Maze(walls=w) for w in mazes]

@@ -170,6 +170,17 @@ def test_dfs_start_on_a_wall_is_usage_error(tmp_path, capsys, cmd):
     assert "(0, 1) is a wall" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("cmd", [
+    ["trace", "--algo", "bfs", "--out", "unused.trace"],
+    ["render", "--algo", "bfs"],
+])
+def test_unreachable_target_has_no_flood_trace(tmp_path, capsys, cmd):
+    path = write_maze(tmp_path, "S.#..\n..#.T")
+    assert main([cmd[0], "--maze", path, *cmd[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "floods never met; no trace" in captured.err and captured.out == ""
+
+
 def test_verify_non_square_size_is_usage_error(capsys):
     assert main(["verify", "--task", "dfs", "--n", "1", "--size", "8x12"]) == 2
     assert "square" in capsys.readouterr().err

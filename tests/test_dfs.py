@@ -12,6 +12,7 @@ from mazenca.dfs import (
 )
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import dfs_order
+from sweep import sweep_mazes
 
 
 def test_weight_shapes():
@@ -75,6 +76,13 @@ def test_visit_order_matches_oracle(seed, size):
     maze = generate_maze(GenConfig(width=size, height=size, task="diameter", seed=seed))
     start = tuple(int(v) for v in np.argwhere(~maze.walls)[0])
     assert run_dfs(maze, start).visit_order == dfs_order(maze, start)
+
+
+def test_visit_order_matches_oracle_across_shapes_and_densities():
+    for i, maze in enumerate(sweep_mazes(300, 12, seed=41)):
+        empties = np.argwhere(~maze.walls)
+        start = tuple(int(v) for v in empties[i % len(empties)])
+        assert run_dfs(maze, start).visit_order == dfs_order(maze, start), str(maze.walls)
 
 
 @settings(max_examples=15, deadline=None)

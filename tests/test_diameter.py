@@ -8,40 +8,16 @@ from mazenca.bfs import AGE, run_bfs
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
     diameter_nca,
-    flood_dtype,
     schedule_dijkstra_calls,
     source_ages,
 )
-from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
+from mazenca.grid import GenConfig, Maze, generate_maze, parse_maze
 from mazenca.oracle import diameter_oracle, distance_map, shortest_path_union
-
-WALL_PS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+from sweep import sweep_mazes
 
 
 def walls_only(text):
     return Maze(walls=parse_maze(text).walls)
-
-
-def sweep_mazes(n, max_side, seed):
-    """Seeded walls-only mazes: every 1xN and Nx1 corridor, all-open and
-    single-empty grids, then ``n`` random grids with sides in 1..max_side
-    and wall probabilities cycling through WALL_PS."""
-    mazes = []
-    for side in range(1, max_side + 1):
-        mazes.append(np.zeros((1, side), dtype=bool))
-        mazes.append(np.zeros((side, 1), dtype=bool))
-        mazes.append(np.zeros((side, max_side + 1 - side), dtype=bool))
-        single = np.ones((side, max_side), dtype=bool)
-        single[side // 2, side % max_side] = False
-        mazes.append(single)
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
-        h, w = (int(v) for v in rng.integers(1, max_side + 1, size=2))
-        walls = rng.random((h, w)) < WALL_PS[i % len(WALL_PS)]
-        if walls.all():
-            walls[rng.integers(h), rng.integers(w)] = False
-        mazes.append(walls)
-    return [Maze(walls=w) for w in mazes]
 
 
 def oracle_path_max(maze):
@@ -104,7 +80,7 @@ def test_path_max_is_eccentricity_plus_one():
 
 def test_path_max_matches_oracle_across_shapes_and_densities():
     # diameter_nca's path_max is source_ages over all empty tiles; calling
-    # source_ages directly skips the float64 endpoint and witness runs
+    # source_ages directly skips the endpoint and witness runs
     mazes = sweep_mazes(1000, 12, seed=31)
     assert len(mazes) >= 1000
     for maze in mazes:
@@ -132,17 +108,6 @@ def test_gutter_isolates_copies_on_open_grid(monkeypatch, cells):
     monkeypatch.setattr(diameter, "CANVAS_CELLS", cells)
     maze = Maze(walls=np.zeros((6, 9), dtype=bool))
     np.testing.assert_array_equal(diameter_nca(maze).path_max, oracle_path_max(maze))
-
-
-def test_flood_dtype_covers_the_age_bound():
-    assert flood_dtype(1, 1) == np.int8
-    assert flood_dtype(5, 6) == np.int8  # horizon 120
-    assert flood_dtype(4, 8) == np.int16  # horizon 128
-    assert flood_dtype(16, 16) == np.int16
-    assert flood_dtype(128, 128) == np.int32
-    assert flood_dtype(2**15, 2**16) == np.int64
-    with pytest.raises(MazeError, match="overflow"):
-        flood_dtype(2**31, 2**31)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from mazenca.bfs import run_bfs
 from mazenca.extract import build_extract_weights, run_extract
-from mazenca.grid import GenConfig, MazeError, generate_maze, parse_maze
-from mazenca.oracle import shortest_path_union
+from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
+from mazenca.oracle import Unreachable, shortest_path_union
+from sweep import sweep_mazes
 
 
 def test_weight_shapes():
@@ -66,3 +69,21 @@ def test_off_path_detour_excluded():
 def test_steps_used_is_reported():
     result = run_extract(run_bfs(parse_maze("S.....T")))
     assert result.steps_used >= 1
+
+
+def test_meet_step_and_mask_match_oracle_across_shapes_and_densities():
+    for i, maze in enumerate(sweep_mazes(600, 12, seed=42)):
+        empties = [tuple(int(v) for v in t) for t in np.argwhere(~maze.walls)]
+        if len(empties) < 2:
+            continue
+        rng = np.random.default_rng([42, i])
+        source, target = (empties[k] for k in rng.choice(len(empties), 2, replace=False))
+        maze = Maze(walls=maze.walls, source=source, target=target)
+        bfs = run_bfs(maze)
+        try:
+            d, union = shortest_path_union(maze)
+        except Unreachable:
+            assert not bfs.met, str(maze.walls)
+            continue
+        assert bfs.meet_step == math.ceil(d / 2) + 1, str(maze.walls)
+        np.testing.assert_array_equal(run_extract(bfs).mask, union, err_msg=str(maze.walls))

@@ -15,7 +15,8 @@ from mazenca.extract import run_extract
 from mazenca.grid import GenConfig, generate_maze, parse_maze, render_maze
 from mazenca.loop import run
 
-# 12 x 9 maze whose traces were hashed before the run loop was shared
+# 12 x 9 maze whose traces are pinned byte for byte; the DFS starts at S,
+# inside the largest component, so its trace pushes and pops
 GOLDEN_MAZE = """\
 .#..###.#
 ##.#.#.#.
@@ -33,6 +34,7 @@ GOLDEN_MAZE = """\
 GOLDEN_SHA256 = {
     "bfs": "6d4e5554fb427a2121ee06f15d09dc1f893dbb085b539ba46a64baa083164904",
     "extract": "bf9f6a41b6a4e9128111651a1fdcdffcd3cfb02143e4dd893cd12def67a24317",
+    "dfs": "4f5deeb7b19a72b7afd5d2ee1467b0109efa563050f9c8d6fbe4acb52ad3c62d",
 }
 
 
@@ -64,12 +66,13 @@ def test_trace_frame_counts_match_the_runs(tmp_path, text):
     assert len(_trace_frames(tmp_path, text, "dfs")) == run_dfs(maze, start).steps_used
 
 
-@pytest.mark.parametrize("algo", ["bfs", "extract"])
+@pytest.mark.parametrize("algo", ["bfs", "extract", "dfs"])
 def test_trace_bytes_are_unchanged(tmp_path, algo):
     path = tmp_path / "maze.txt"
     path.write_text(GOLDEN_MAZE)
     out = tmp_path / "run.trace"
-    assert main(["trace", "--maze", str(path), "--algo", algo, "--out", str(out)]) == 0
+    start = ["--start", "8,3"] if algo == "dfs" else []
+    assert main(["trace", "--maze", str(path), "--algo", algo, "--out", str(out), *start]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[algo]
 
 

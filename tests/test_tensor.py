@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazenca import diameter
+from mazenca.bfs import flood_dtype, run_bfs
+from mazenca.dfs import initial_state as dfs_initial_state
+from mazenca.dfs import run_dfs
+from mazenca.extract import run_extract
+from mazenca.grid import Maze, MazeError, parse_maze
 from mazenca.tensor import (
     KernelStack,
     TensorError,
-    assert_integer_valued,
     conv2d,
+    int_dtype,
     relu,
     sawtooth,
     step,
     w_center3,
     w_offset3,
     w_von_neumann,
-    zeros_kernel,
 )
 
 
@@ -42,7 +47,7 @@ def naive_conv2d(x, kernels):
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([3, 5]))
 def test_conv2d_matches_naive_reference(seed, k):
     rng = np.random.default_rng(seed)
-    x = rng.integers(-3, 4, size=(3, 6, 5)).astype(np.float64)
+    x = rng.integers(-3, 4, size=(3, 6, 5)).astype(np.int16)
     ks = KernelStack(
         weights=rng.integers(-2, 3, size=(2, 3, k, k)).astype(np.float64),
         bias=rng.integers(-1, 2, size=2).astype(np.float64),
@@ -66,19 +71,20 @@ def test_conv2d_integer_input_keeps_dtype_and_matches_float(seed, k, dtype):
 
 
 def test_conv2d_integer_input_needs_integer_weights():
-    ks = zeros_kernel(1, 1, 3)
-    ks.weights[0, 0, 1, 1] = 0.5
-    with pytest.raises(TensorError):
-        conv2d(np.ones((1, 2, 2), dtype=np.int16), ks)
+    weights = np.zeros((1, 1, 3, 3))
+    weights[0, 0, 1, 1] = 0.5
+    with pytest.raises(TensorError, match="integers"):
+        KernelStack(weights=weights, bias=np.zeros(1))
+    with pytest.raises(TensorError, match="integers"):
+        KernelStack(weights=np.zeros((1, 1, 3, 3)), bias=np.full(1, -0.2))
 
 
 def test_conv2d_zero_padding():
     # a single positive pixel against an all-ones 3x3 kernel: corners see
     # only in-bounds mass, so edge sums shrink -- padding contributes zero
-    ks = zeros_kernel(1, 1, 3)
-    ks.weights[0, 0] = 1.0
-    x = np.ones((1, 2, 2))
-    np.testing.assert_array_equal(conv2d(x, ks), np.full((1, 2, 2), 4.0))
+    ks = KernelStack(weights=np.ones((1, 1, 3, 3)), bias=np.zeros(1))
+    x = np.ones((1, 2, 2), dtype=np.int8)
+    np.testing.assert_array_equal(conv2d(x, ks), np.full((1, 2, 2), 4))
 
 
 def test_kernel_validation():
@@ -89,7 +95,8 @@ def test_kernel_validation():
     with pytest.raises(TensorError):
         KernelStack(weights=np.full((1, 1, 3, 3), np.nan), bias=np.zeros(1))
     with pytest.raises(TensorError):
-        conv2d(np.zeros((2, 3, 3)), zeros_kernel(1, 1, 3))
+        conv2d(np.zeros((2, 3, 3), dtype=np.int8),
+               KernelStack(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1)))
 
 
 def test_step_is_strict():
@@ -103,11 +110,16 @@ def test_step_is_strict():
 def test_relu():
     np.testing.assert_array_equal(relu(np.array([-2.0, 0.0, 3.0])),
                                   np.array([0.0, 0.0, 3.0]))
+    out = relu(np.array([-2, 0, 3], dtype=np.int8))
+    assert out.dtype == np.int8
+    np.testing.assert_array_equal(out, [0, 0, 3])
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5))
 def test_sawtooth_is_integer_indicator(x, a):
     assert sawtooth(np.array(float(x)), a) == (1.0 if x == a else 0.0)
+    out = sawtooth(np.array([x], dtype=np.int16), a)
+    assert out.dtype == np.int16 and out[0] == (1 if x == a else 0)
 
 
 def test_sawtooth_triangular_between_integers():
@@ -115,10 +127,48 @@ def test_sawtooth_triangular_between_integers():
     assert sawtooth(np.array(2.4), 2) == pytest.approx(0.6)
 
 
-def test_assert_integer_valued():
-    assert_integer_valued(np.array([1.0, -3.0, 0.0]))
-    with pytest.raises(TensorError):
-        assert_integer_valued(np.array([1.0, 0.5]))
+def test_int_dtype_covers_each_automaton_bound():
+    assert int_dtype(127) == np.int8 and int_dtype(128) == np.int16
+    assert flood_dtype(1, 1) == np.int8
+    assert flood_dtype(5, 6) == np.int8  # horizon 120
+    assert flood_dtype(4, 8) == np.int16  # horizon 128
+    assert flood_dtype(16, 16) == np.int16
+    assert flood_dtype(128, 128) == np.int32
+    assert flood_dtype(2**15, 2**16) == np.int64
+    for side, dtype in ((1, np.int8), (16, np.int16), (64, np.int32)):
+        maze = Maze(walls=np.zeros((side, side), dtype=bool))
+        # run_dfs's default horizon is 16 * H * W steps
+        state = dfs_initial_state(maze, (0, 0), 16 * side * side)
+        assert state.hidden.dtype == state.maze_onehot.dtype == dtype
+    with pytest.raises(MazeError, match="overflow"):
+        int_dtype(2**63)
+    with pytest.raises(MazeError, match="overflow"):
+        flood_dtype(2**31, 2**31)
+
+
+def test_every_automaton_runs_on_integers(monkeypatch):
+    maze = parse_maze("S.#\n..T\n#..")
+    planes = []
+
+    def observe(state):
+        planes.extend(p for p in vars(state).values() if isinstance(p, np.ndarray))
+
+    bfs = run_bfs(maze, observe=observe)
+    run_bfs(maze, mode="single_source", at=(0, 0), observe=observe)
+    run_extract(bfs, observe=observe)
+    run_dfs(maze, (0, 0), observe=observe)
+    original = diameter.bfs_step
+
+    def canvas_step(state):
+        observe(state)
+        return original(state)
+
+    monkeypatch.setattr(diameter, "bfs_step", canvas_step)
+    diameter.diameter_nca(maze)
+    assert len(planes) > 20
+    # the DFS's boolean pop indicator is not a channel
+    assert {p.dtype.kind for p in planes} <= {"i", "b"}
+    assert all(p.dtype.kind == "i" for p in planes if p.ndim == 3)
 
 
 def test_elementary_kernels():
