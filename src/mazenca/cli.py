@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .bfs import run_bfs
-from .dataset import DatasetRecord, read_dataset, write_dataset, write_trace
+from .dataset import DatasetRecord, read_dataset, read_utf8, write_dataset, write_trace
 from .dfs import run_dfs
 from .diameter import diameter_nca
 from .evolve import EvolutionConfig, label_maze, run_evolution
@@ -32,18 +31,25 @@ def _parse_size(text: str) -> tuple[int, int]:
     """"16" -> (16, 16); "16x24" -> 16 rows by 24 columns."""
     parts = text.lower().split("x")
     try:
-        if len(parts) == 1:
-            n = int(parts[0])
-            return n, n
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
+        sides = [int(p) for p in parts]
     except ValueError:
-        pass
-    raise UsageError(f"bad size {text!r} (expected N or HxW)")
+        sides = []
+    if len(sides) not in (1, 2):
+        raise UsageError(f"bad size {text!r} (expected N or HxW)")
+    if min(sides) < 1:
+        raise UsageError(f"bad size {text!r} (sides must be at least 1)")
+    return sides[0], sides[-1]
+
+
+def _count(value: int, flag: str) -> int:
+    """A count given on the command line, which must not be negative."""
+    if value < 0:
+        raise UsageError(f"{flag} must not be negative, got {value}")
+    return value
 
 
 def _load_maze(path: str) -> Maze:
-    return parse_maze(Path(path).read_text(encoding="utf-8"))
+    return parse_maze(read_utf8(path))
 
 
 def _parse_start(text: str | None, maze: Maze) -> tuple[int, int] | None:
@@ -75,7 +81,7 @@ def _dfs_start(maze: Maze, start: tuple[int, int] | None) -> tuple[int, int]:
 def cmd_gen(args) -> int:
     height, width = _parse_size(args.size)
     records = []
-    for i in range(args.n):
+    for i in range(_count(args.n, "--n")):
         cfg = GenConfig(width=width, height=height, task=args.task)
         maze = generate_maze(cfg, rng=np.random.default_rng([args.seed, i]))
         mask, length = label_maze(maze, args.task)
@@ -133,6 +139,7 @@ def cmd_verify(args) -> int:
     height, width = _parse_size(args.size)
     if height != width:
         raise UsageError("verify uses square mazes; pass a single size")
+    _count(args.n, "--n")
     passed, failures = verify_task(args.task, args.n, args.seed, size=height)
     for msg in failures:
         print(msg, file=sys.stderr)
@@ -141,6 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _count(args.generations, "--generations")
+    _count(args.batch_size, "--batch-size")
     dataset = read_dataset(args.dataset)
     if not dataset:
         raise MazeError("empty dataset")

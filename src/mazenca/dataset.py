@@ -69,17 +69,24 @@ def write_dataset(path: str | Path, records: list[DatasetRecord]) -> None:
             fh.write(record_to_json(rec) + "\n")
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; any other bytes are bad content."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MazeError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def read_dataset(path: str | Path) -> list[DatasetRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(record_from_json(line))
-            except (MazeError, KeyError, json.JSONDecodeError) as exc:
-                raise MazeError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(record_from_json(line))
+        except (MazeError, KeyError, json.JSONDecodeError) as exc:
+            raise MazeError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 

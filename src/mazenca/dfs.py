@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Maze, MazeError
-from .bfs import inject_endpoints
+from .grid import Maze, MazeError, one_hot
 from .loop import run
 from .tensor import KernelStack, conv2d, int_dtype, relu, sawtooth, step
 
@@ -139,7 +138,7 @@ def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     # the run reaches is below 5 * (horizon + 1); other pre-activations lie
     # in [-10, 8]
     dtype = int_dtype(5 * (horizon + 1))
-    onehot = inject_endpoints(maze, source=start).astype(dtype)
+    onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
     return DfsState(hidden=np.zeros((N_HIDDEN, *maze.walls.shape), dtype), maze_onehot=onehot)
 
 
@@ -209,14 +208,17 @@ def run_dfs(
 ) -> DfsTrace:
     """Run to completion: route covers the start's component and the stack
     drains.  The trace records pebble positions (the visit order), their
-    steps, and pop events.  ``max_steps`` defaults to 16*H*W; ``observe``
-    sees every state."""
+    steps, and pop events.  ``max_steps`` defaults to twice the number of
+    empty tiles, a proven bound; ``observe`` sees every state."""
     if not maze.contains(start):
         raise MazeError(f"DFS start {start} is outside the {maze.height}x{maze.width} maze")
     if maze.walls[start]:
         raise MazeError(f"DFS start {start} is a wall")
     if max_steps is None:
-        max_steps = 16 * maze.height * maze.width
+        # a run takes visits + pops + 1 steps: each visit is one step, a pop
+        # adds one, and the drained state is seen one step after the last
+        # visit; every pop precedes a later visit, so pops <= visits - 1
+        max_steps = 2 * int(np.count_nonzero(~maze.walls))
     trace = DfsTrace()
 
     def record(state: DfsState) -> None:

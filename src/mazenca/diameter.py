@@ -9,9 +9,9 @@ copy of the maze, the copies are stacked along the row axis of one tensor in
 the flood's integer dtype with a row of walls between neighbours, and each
 conv step advances all of them at once.  A wall row never floods and its age
 stays 0, so it isolates the copies exactly as zero padding isolates a single
-run.  A copy whose flood stopped changing has reached its fixpoint (the
-single-source rule of ``run_bfs``); its source age is read and the copy
-leaves the canvas, so later steps pay only for live floods.
+run.  A copy whose flood stopped changing has reached its fixpoint
+(``bfs.flood_fixpoint``); its source age and its farthest tile are read and
+the copy leaves the canvas, so later steps pay only for live floods.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from .bfs import (
     BfsState,
     bfs_step,
     flood_dtype,
+    flood_fixpoint,
     flood_horizon,
-    inject_endpoints,
     run_bfs,
 )
 from .dfs import DfsTrace
 from .extract import run_extract
-from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError
+from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError, one_hot
 
 # canvas rows x columns per flood run; larger mazes split their tiles over
 # several runs so memory stays near 100 MB
@@ -67,17 +67,17 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
-def source_ages(maze: Maze, tiles: np.ndarray) -> np.ndarray:
-    """Fixpoint age at each tile's own source for a single-source flood from
-    every tile in ``tiles`` (n x 2, empty tiles), all on one canvas.  Entry i
-    equals ``run_bfs(maze, "single_source", at=tiles[i])``'s age at
-    ``tiles[i]``."""
+def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-source floods from every tile in ``tiles`` (n x 2, empty
+    tiles), all on one canvas, each run to its fixpoint.  Returns the age at
+    each flood's own source (eccentricity + 1) and each flood's farthest
+    tile (n x 2): the flooded tile with the least age, row-major first."""
     H, W = maze.walls.shape
     dtype = flood_dtype(H, W)
     rows, cols = tiles[:, 0], tiles[:, 1]
     n = len(tiles)
     onehot = np.zeros((4, n, H + 1, W), dtype=dtype)
-    onehot[:, :, :H] = inject_endpoints(maze, source=None)[:, None]
+    onehot[:, :, :H] = one_hot(Maze(walls=maze.walls))[:, None]
     onehot[CH_WALL, :, H] = 1
     onehot[CH_SOURCE, np.arange(n), rows, cols] = 1
     onehot[CH_EMPTY, np.arange(n), rows, cols] = 0
@@ -87,27 +87,30 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> np.ndarray:
     )
 
     ages = np.zeros(n, dtype=np.int64)
+    far = np.zeros((n, 2), dtype=np.int64)
     live = np.arange(n)  # canvas copy j floods from tiles[live[j]]
-    prev = state.hidden[FLOOD_S]
     for _ in range(flood_horizon(H, W)):
-        state = bfs_step(state)
+        prev, state = state, bfs_step(state)
         m = len(live)
-        hidden = state.hidden.reshape(N_HIDDEN, m, H + 1, W)
-        settled = np.all(hidden[FLOOD_S] == prev.reshape(m, H + 1, W), axis=(1, 2))
+        settled = flood_fixpoint(prev, state, m)
         if settled.any():
-            done = live[settled]
-            ages[done] = hidden[AGE, np.flatnonzero(settled), rows[done], cols[done]]
+            hidden = state.hidden.reshape(N_HIDDEN, m, H + 1, W)
+            done, copies = live[settled], np.flatnonzero(settled)
+            ages[done] = hidden[AGE, copies, rows[done], cols[done]]
+            flood_ages = hidden[AGE, copies, :H].reshape(len(copies), -1)
+            flooded = hidden[FLOOD_S, copies, :H].reshape(len(copies), -1) > 0
+            flat = np.argmin(np.where(flooded, flood_ages, np.iinfo(dtype).max), axis=1)
+            far[done] = np.stack(np.divmod(flat, W), axis=1)
             keep = ~settled
             live = live[keep]
             if not live.size:
-                return ages
+                return ages, far
             onehot = state.maze_onehot.reshape(4, m, H + 1, W)[:, keep]
             state = BfsState(
                 hidden=hidden[:, keep].reshape(N_HIDDEN, -1, W),
                 maze_onehot=onehot.reshape(4, -1, W),
                 step=state.step,
             )
-        prev = state.hidden[FLOOD_S]
     raise MazeError(f"{len(live)} floods did not settle within {flood_horizon(H, W)} steps")
 
 
@@ -118,30 +121,24 @@ def diameter_nca(maze: Maze) -> DiameterRun:
         raise MazeError("maze has no empty tiles")
 
     path_max = np.zeros((H, W), dtype=np.int64)
+    farthest = np.zeros((H, W, 2), dtype=np.int64)
     per_run = max(1, CANVAS_CELLS // ((H + 1) * W))
     for lo in range(0, len(tiles), per_run):
         chunk = tiles[lo : lo + per_run]
-        path_max[chunk[:, 0], chunk[:, 1]] = source_ages(maze, chunk)
+        ages, far = source_ages(maze, chunk)
+        path_max[chunk[:, 0], chunk[:, 1]] = ages
+        farthest[chunk[:, 0], chunk[:, 1]] = far
 
     flat_best = int(np.argmax(path_max))
     best = (flat_best // W, flat_best % W)
     diameter_len = int(path_max[best])
-
-    # second endpoint: farthest tile in the best endpoint's own flood, which
-    # at fixpoint is the flooded tile with the smallest age (row-major ties)
-    final = run_bfs(maze, mode="single_source", at=best).final.hidden
-    flooded = final[FLOOD_S] > 0
-    ages = np.where(flooded, final[AGE], np.iinfo(final.dtype).max)
-    flat_far = int(np.argmin(ages))
-    far = (flat_far // W, flat_far % W)
+    far = (int(farthest[best][0]), int(farthest[best][1]))
 
     if far == best:
         witness = np.zeros((H, W), dtype=bool)
         witness[best] = True
     else:
-        pair_maze = Maze(walls=maze.walls, source=best, target=far)
-        bfs = run_bfs(pair_maze, mode="bidirectional")
-        witness = run_extract(bfs).mask
+        witness = run_extract(run_bfs(Maze(walls=maze.walls, source=best, target=far))).mask
     return DiameterRun(
         path_max=path_max,
         best_endpoint=best,

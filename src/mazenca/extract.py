@@ -69,7 +69,8 @@ def _weights() -> KernelStack:
 def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
     _, H, W = bfs_frozen.shape
     # the frozen flood met by step ceil((H*W-1)/2)+1, so its ages are at most
-    # H*W/2 and the 2*dage +- 1 pre-activations fit in its dtype's bound
+    # ceil((H*W-1)/2) and the 2*dage +- 1 pre-activations stay within
+    # +-(H*W+1), the bound of its dtype (bfs.flood_dtype)
     hidden = np.zeros((N_HIDDEN, H, W), bfs_frozen.dtype)
     return ExtractState(hidden=hidden, bfs_frozen=bfs_frozen)
 

@@ -9,10 +9,11 @@ from mazenca.bfs import (
     AGE,
     FLOOD_S,
     FLOOD_T,
+    bfs_step,
     build_bfs_weights,
-    inject_endpoints,
     run_bfs,
 )
+from mazenca import diameter
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import distance_map, shortest_path_union
 
@@ -47,7 +48,7 @@ def test_unreachable_floods_never_meet():
 def test_unreachable_flood_halts_when_the_source_flood_settles():
     # a wall column splits the grid; the source flood covers its half by step
     # eccentricity + 1 and is seen unchanged one step later, long before the
-    # 4*H*W horizon of 3,600 steps
+    # H*W + 1 horizon of 901 steps
     walls = np.zeros((30, 30), dtype=bool)
     walls[:, 15] = True
     maze = Maze(walls=walls, source=(0, 0), target=(29, 29))
@@ -105,44 +106,31 @@ def test_age_counts_steps_since_arrival(seed):
 
 
 def test_single_source_fixpoint_age_is_eccentricity_plus_one():
-    maze = parse_maze(".....")
-    result = run_bfs(maze, mode="single_source", at=(0, 0))
-    assert result.fixpoint
-    assert result.final.hidden[AGE][0, 0] == 5.0  # eccentricity 4 moves
+    ages, far = diameter.source_ages(parse_maze("....."), np.array([[0, 0]]))
+    assert ages[0] == 5  # eccentricity 4 moves
+    assert far[0].tolist() == [0, 4]
 
 
-def test_single_source_ignores_real_endpoints():
-    maze = parse_maze("S.T")
-    result = run_bfs(maze, mode="single_source", at=(0, 1))
-    assert result.fixpoint
-    assert np.all(result.final.hidden[FLOOD_S][0] > 0.0)
-    assert not np.any(result.final.hidden[FLOOD_T])
+def test_single_source_ignores_real_endpoints(monkeypatch):
+    # S and T are plain empty tiles to a single-source flood: no target flood
+    # grows, and the flood from the middle covers the row
+    states = []
 
+    def canvas_step(state):
+        states.append(bfs_step(state))
+        return states[-1]
 
-def test_inject_endpoints_validation():
-    maze = parse_maze(".#")
-    with pytest.raises(MazeError):
-        inject_endpoints(maze, source=(0, 1))
-
-
-@pytest.mark.parametrize("tile", [(-1, 0), (0, -2), (1, 0), (0, 2)])
-def test_inject_endpoints_rejects_tiles_outside_the_grid(tile):
-    # negative indices would otherwise wrap onto a real tile
-    maze = parse_maze("..")
-    with pytest.raises(MazeError, match="outside"):
-        inject_endpoints(maze, source=tile)
-    with pytest.raises(MazeError, match="outside"):
-        inject_endpoints(maze, source=None, target=tile)
+    monkeypatch.setattr(diameter, "bfs_step", canvas_step)
+    ages, far = diameter.source_ages(parse_maze("S.T"), np.array([[0, 1]]))
+    assert ages[0] == 2 and far[0].tolist() == [0, 0]
+    assert np.all(states[-1].hidden[FLOOD_S][0] > 0)
+    assert not any(state.hidden[FLOOD_T].any() for state in states)
 
 
 def test_run_bfs_argument_validation():
     maze = parse_maze("..")
     with pytest.raises(MazeError):
         run_bfs(maze)  # no endpoints
-    with pytest.raises(MazeError):
-        run_bfs(maze, mode="single_source")
-    with pytest.raises(MazeError):
-        run_bfs(maze, mode="warp")
     with pytest.raises(MazeError):
         run_bfs(parse_maze("S.T"), max_steps=0)
 

@@ -245,3 +245,34 @@ def test_evolve_closes_external_solver(tmp_path):
 
 def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert main(["solve", "--maze", str(tmp_path / "nope.txt")]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--task", "dfs", "--n", "-3"],
+    ["gen", "--task", "shortest_path", "--n", "-1", "--out", "unused.jsonl"],
+    ["gen", "--task", "shortest_path", "--n", "1", "--size", "0", "--out", "unused.jsonl"],
+    ["gen", "--task", "shortest_path", "--n", "1", "--size", "3x0", "--out", "unused.jsonl"],
+    ["evolve", "--dataset", "unused.jsonl", "--solver", "zeros", "--generations", "-1",
+     "--out", "unused.jsonl", "--stats-out", "unused.csv"],
+    ["evolve", "--dataset", "unused.jsonl", "--solver", "zeros", "--generations", "1",
+     "--batch-size", "-2", "--out", "unused.jsonl", "--stats-out", "unused.csv"],
+])
+def test_negative_counts_and_empty_sizes_are_usage_errors(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "negative" in captured.err or "at least 1" in captured.err
+
+
+@pytest.mark.parametrize("cmd", [
+    ["solve", "--maze"],
+    ["evolve", "--solver", "zeros", "--generations", "1", "--out", "unused.jsonl",
+     "--stats-out", "unused.csv", "--dataset"],
+])
+def test_non_utf8_file_is_runtime_error(tmp_path, capsys, cmd):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfeS\x00.\x00T\x00")
+    assert main([*cmd, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"{path}: not UTF-8 text (byte 0: invalid start byte)"

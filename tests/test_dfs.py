@@ -78,11 +78,31 @@ def test_visit_order_matches_oracle(seed, size):
     assert run_dfs(maze, start).visit_order == dfs_order(maze, start)
 
 
+def assert_step_timing(trace):
+    """Visit k >= 1 is a pop exactly when its tile neighbours a tile visited
+    before visit k - 1 (it was stacked then, and a stacked tile is never
+    moved onto).  A move comes one step after the previous visit; a pop is
+    recorded one step before its visit, two after the previous one."""
+    order, steps = trace.visit_order, trace.visit_steps
+    earlier, pops = set(), []
+    for k in range(1, len(order)):
+        r, c = order[k]
+        is_pop = bool(earlier & {(r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)})
+        assert steps[k] - steps[k - 1] == (2 if is_pop else 1), (k, order[k])
+        if is_pop:
+            pops.append((steps[k] - 1, order[k]))
+        earlier.add(order[k - 1])
+    assert trace.pop_events == pops
+    assert trace.steps_used == len(order) + len(pops) + 1
+
+
 def test_visit_order_matches_oracle_across_shapes_and_densities():
     for i, maze in enumerate(sweep_mazes(300, 12, seed=41)):
         empties = np.argwhere(~maze.walls)
         start = tuple(int(v) for v in empties[i % len(empties)])
-        assert run_dfs(maze, start).visit_order == dfs_order(maze, start), str(maze.walls)
+        trace = run_dfs(maze, start)
+        assert trace.visit_order == dfs_order(maze, start), str(maze.walls)
+        assert_step_timing(trace)
 
 
 @settings(max_examples=15, deadline=None)

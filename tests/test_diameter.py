@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca import diameter
-from mazenca.bfs import AGE, run_bfs
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
     diameter_nca,
@@ -79,25 +78,19 @@ def test_path_max_is_eccentricity_plus_one():
 
 
 def test_path_max_matches_oracle_across_shapes_and_densities():
-    # diameter_nca's path_max is source_ages over all empty tiles; calling
-    # source_ages directly skips the endpoint and witness runs
+    # diameter_nca's path_max and endpoints come from source_ages over all
+    # empty tiles; calling source_ages directly skips the witness runs.  Each
+    # source's age is its eccentricity + 1, and its farthest tile is the
+    # first row-major tile at the greatest distance from it.
     mazes = sweep_mazes(1000, 12, seed=31)
     assert len(mazes) >= 1000
     for maze in mazes:
         tiles = np.argwhere(~maze.walls)
-        path_max = np.zeros(maze.walls.shape, dtype=np.int64)
-        path_max[tiles[:, 0], tiles[:, 1]] = source_ages(maze, tiles)
-        np.testing.assert_array_equal(path_max, oracle_path_max(maze), err_msg=str(maze.walls))
-
-
-def test_canvas_ages_match_unbatched_floods():
-    for maze in sweep_mazes(100, 8, seed=32):
-        tiles = np.argwhere(~maze.walls)
-        ages = source_ages(maze, tiles)
-        for (y, x), age in zip(tiles, ages):
-            single = run_bfs(maze, mode="single_source", at=(int(y), int(x)))
-            assert single.fixpoint
-            assert age == single.final.hidden[AGE][y, x]
+        ages, far = source_ages(maze, tiles)
+        dists = [distance_map(maze, (int(y), int(x))) for y, x in tiles]
+        assert ages.tolist() == [int(d.max()) + 1 for d in dists], str(maze.walls)
+        assert far.tolist() == [list(divmod(int(np.argmax(d)), maze.width)) for d in dists], \
+            str(maze.walls)
 
 
 @pytest.mark.parametrize("cells", [diameter.CANVAS_CELLS, 40])

@@ -130,20 +130,21 @@ def test_sawtooth_triangular_between_integers():
 def test_int_dtype_covers_each_automaton_bound():
     assert int_dtype(127) == np.int8 and int_dtype(128) == np.int16
     assert flood_dtype(1, 1) == np.int8
-    assert flood_dtype(5, 6) == np.int8  # horizon 120
-    assert flood_dtype(4, 8) == np.int16  # horizon 128
+    assert flood_dtype(9, 14) == np.int8  # horizon 127
+    assert flood_dtype(1, 127) == np.int16  # horizon 128
     assert flood_dtype(16, 16) == np.int16
-    assert flood_dtype(128, 128) == np.int32
+    assert flood_dtype(128, 128) == np.int16
+    assert flood_dtype(256, 256) == np.int32
     assert flood_dtype(2**15, 2**16) == np.int64
     for side, dtype in ((1, np.int8), (16, np.int16), (64, np.int32)):
         maze = Maze(walls=np.zeros((side, side), dtype=bool))
-        # run_dfs's default horizon is 16 * H * W steps
-        state = dfs_initial_state(maze, (0, 0), 16 * side * side)
+        # run_dfs's default horizon is twice the number of empty tiles
+        state = dfs_initial_state(maze, (0, 0), 2 * side * side)
         assert state.hidden.dtype == state.maze_onehot.dtype == dtype
     with pytest.raises(MazeError, match="overflow"):
         int_dtype(2**63)
     with pytest.raises(MazeError, match="overflow"):
-        flood_dtype(2**31, 2**31)
+        flood_dtype(2**32, 2**31)
 
 
 def test_every_automaton_runs_on_integers(monkeypatch):
@@ -154,7 +155,6 @@ def test_every_automaton_runs_on_integers(monkeypatch):
         planes.extend(p for p in vars(state).values() if isinstance(p, np.ndarray))
 
     bfs = run_bfs(maze, observe=observe)
-    run_bfs(maze, mode="single_source", at=(0, 0), observe=observe)
     run_extract(bfs, observe=observe)
     run_dfs(maze, (0, 0), observe=observe)
     original = diameter.bfs_step
