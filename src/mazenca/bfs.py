@@ -6,7 +6,8 @@ The run freezes at the first step where the floods overlap, or when the
 source flood stops growing without an overlap, which proves the target
 unreachable.  The diameter canvas steps the same kernels from one source per
 maze copy and halts each copy at its fixpoint.  The state is an integer
-tensor in ``flood_dtype``.
+tensor in ``flood_dtype``; the maze one-hot enters it once, as the constant
+plane its kernels add to every step.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ from .tensor import KernelStack, conv2d, int_dtype, step, w_center3, w_von_neuma
 # hidden channel registry
 FLOOD_S, FLOOD_T, AGE = 0, 1, 2
 N_HIDDEN = 3
-# conv input order: hidden channels then the maze one-hot
+# conv input order: hidden channels then the maze one-hot, which every run
+# folds into its constant plane (``flood_plane``)
 IN_FLOOD_S, IN_FLOOD_T, IN_AGE, IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = range(7)
 
 
 @dataclass(frozen=True)
 class BfsState:
     hidden: np.ndarray  # 3 x H x W
-    maze_onehot: np.ndarray  # 4 x H x W, frozen for the whole run
+    const: np.ndarray  # 3 x H x W, the maze one-hot's share of every step
     step: int = 0
 
 
@@ -40,6 +42,7 @@ class BfsResult:
     met: bool
     meet_step: Optional[int]
     final: BfsState
+    maze: Maze
 
 
 def build_bfs_weights() -> KernelStack:
@@ -71,17 +74,23 @@ def flood_dtype(height: int, width: int) -> np.dtype:
     return int_dtype(max(flood_horizon(height, width), 6))
 
 
+def flood_plane(onehot: np.ndarray) -> np.ndarray:
+    """Constant plane of a flood over a 4 x H x W maze one-hot, in the
+    one-hot's dtype.  Every static tap is a centre tap, so each cell of the
+    plane depends on that cell of the one-hot alone."""
+    return conv2d(onehot, _weights().split(N_HIDDEN)[1])
+
+
 def initial_state(maze_onehot: np.ndarray) -> BfsState:
     _, H, W = maze_onehot.shape
     dtype = flood_dtype(H, W)
     return BfsState(
-        hidden=np.zeros((N_HIDDEN, H, W), dtype), maze_onehot=maze_onehot.astype(dtype)
+        hidden=np.zeros((N_HIDDEN, H, W), dtype), const=flood_plane(maze_onehot.astype(dtype))
     )
 
 
 def bfs_step(state: BfsState) -> BfsState:
-    x = np.concatenate([state.hidden, state.maze_onehot])
-    out = conv2d(x, _weights())
+    out = conv2d(state.hidden, _weights().split(N_HIDDEN)[0], state.const)
     out[FLOOD_S] = step(out[FLOOD_S])
     out[FLOOD_T] = step(out[FLOOD_T])
     # age is an exact integer accumulation; never negative, so relu is a no-op
@@ -132,4 +141,4 @@ def run_bfs(
         raise MazeError("bidirectional flood needs source and target")
     state, _ = run(bfs_step, initial_state(one_hot(maze)), floods_halted, max_steps, observe)
     met = floods_met(state)
-    return BfsResult(met=met, meet_step=state.step if met else None, final=state)
+    return BfsResult(met=met, meet_step=state.step if met else None, final=state, maze=maze)

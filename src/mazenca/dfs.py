@@ -7,7 +7,9 @@ tiles land on a neural stack (stack / stack_rank / stack_direction) and are
 popped, most recent first, whenever the pebble -- the single newly-routed
 tile -- gets stuck.  A stacked tile's rank counts its steps on the stack and
 its direction is the integer code 1..4 of the move that would reach it, in
-priority order, so ``5 * rank + direction`` orders pops exactly.
+priority order, so ``5 * rank + direction`` orders pops exactly.  The maze
+one-hot enters the state once, as the constant plane the kernels add to
+every step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ ROUTE_DIRS = [1, 2, 3, 4]  # down, right, up, left arrivals
 STACK, STACK_RANK, STACK_DIR = 5, 6, 7
 PEBBLE = 8
 N_HIDDEN = 9
-# conv input order: 9 hidden channels then the maze one-hot
+# conv input order: 9 hidden channels then the maze one-hot, which every run
+# folds into its constant plane
 IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = 9, 10, 11, 12
 
 # 5x5 kernel offsets watched by each directional route channel: the position
@@ -74,7 +77,7 @@ def _w_direction() -> np.ndarray:
 @dataclass(frozen=True)
 class DfsState:
     hidden: np.ndarray  # 9 x H x W
-    maze_onehot: np.ndarray  # 4 x H x W with the start tile as source
+    const: np.ndarray  # 9 x H x W, the maze one-hot's share of every step
     step: int = 0
     popped: np.ndarray | None = None  # H x W pop indicator of the last step
 
@@ -133,20 +136,22 @@ def _weights() -> KernelStack:
 
 
 def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
-    """The state of a run of at most ``horizon`` steps."""
+    """The state of a run of at most ``horizon`` steps from ``start``, which
+    the one-hot marks as the source."""
     # a rank grows by at most 1 per step from 0, so every 5 * rank + direction
     # the run reaches is below 5 * (horizon + 1); other pre-activations lie
     # in [-10, 8]
     dtype = int_dtype(5 * (horizon + 1))
     onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
-    return DfsState(hidden=np.zeros((N_HIDDEN, *maze.walls.shape), dtype), maze_onehot=onehot)
+    return DfsState(
+        hidden=np.zeros((N_HIDDEN, *maze.walls.shape), dtype),
+        const=conv2d(onehot, _weights().split(N_HIDDEN)[1]),
+    )
 
 
 def dfs_step(state: DfsState) -> DfsState:
     prev = state.hidden
-
-    x = np.concatenate([state.hidden, state.maze_onehot])
-    out = conv2d(x, _weights())
+    out = conv2d(prev, _weights().split(N_HIDDEN)[0], state.const)
 
     for ch in ROUTE_DIRS:
         out[ch] = step(out[ch])
@@ -183,9 +188,7 @@ def dfs_step(state: DfsState) -> DfsState:
     for ch in (STACK, STACK_RANK, STACK_DIR):
         out[ch][routed] = 0
 
-    return DfsState(
-        hidden=out, maze_onehot=state.maze_onehot, step=state.step + 1, popped=popped_tiles
-    )
+    return DfsState(hidden=out, const=state.const, step=state.step + 1, popped=popped_tiles)
 
 
 def drained(prev: DfsState, state: DfsState) -> bool:

@@ -11,7 +11,9 @@ conv step advances all of them at once.  A wall row never floods and its age
 stays 0, so it isolates the copies exactly as zero padding isolates a single
 run.  A copy whose flood stopped changing has reached its fixpoint
 (``bfs.flood_fixpoint``); its source age and its farthest tile are read and
-the copy leaves the canvas, so later steps pay only for live floods.
+the copy leaves the canvas, so later steps pay only for live floods.  The
+canvas's constant plane is built once; a leaving copy's rows are dropped
+from it, which is exact because every static flood tap is a centre tap.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .bfs import (
     flood_dtype,
     flood_fixpoint,
     flood_horizon,
+    flood_plane,
     run_bfs,
 )
 from .dfs import DfsTrace
@@ -83,7 +86,7 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     onehot[CH_EMPTY, np.arange(n), rows, cols] = 0
     state = BfsState(
         hidden=np.zeros((N_HIDDEN, n * (H + 1), W), dtype=dtype),
-        maze_onehot=onehot.reshape(4, -1, W),
+        const=flood_plane(onehot.reshape(4, -1, W)),
     )
 
     ages = np.zeros(n, dtype=np.int64)
@@ -105,10 +108,10 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             live = live[keep]
             if not live.size:
                 return ages, far
-            onehot = state.maze_onehot.reshape(4, m, H + 1, W)[:, keep]
+            const = state.const.reshape(N_HIDDEN, m, H + 1, W)[:, keep]
             state = BfsState(
                 hidden=hidden[:, keep].reshape(N_HIDDEN, -1, W),
-                maze_onehot=onehot.reshape(4, -1, W),
+                const=const.reshape(N_HIDDEN, -1, W),
                 step=state.step,
             )
     raise MazeError(f"{len(live)} floods did not settle within {flood_horizon(H, W)} steps")

@@ -4,7 +4,8 @@ The path channel seeds on tiles where both floods overlap, then grows along
 the frozen age field: a tile joins the path when a path-marked neighbour's
 age is exactly one less than its own, which walks the path outward from the
 meeting point toward both endpoints and covers every shortest path at once.
-The state has the frozen flood's integer dtype.
+The state has the frozen flood's integer dtype.  The frozen flood enters it
+once, as the constant plane the kernels add to every step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .bfs import BfsResult, flood_horizon
 from .loop import run
-from .grid import CH_SOURCE, CH_TARGET, MazeError
+from .grid import MazeError
 from .tensor import KernelStack, conv2d, sawtooth, step, w_center3, w_offset3
 
 # hidden channel registry; directional channels named by the 3x3 kernel
@@ -26,14 +27,15 @@ PATH = 0
 DIR_OFFSETS = [(0, 1), (1, 0), (1, 2), (2, 1)]  # up, left, right, down
 DIR_CHANNELS = [1, 2, 3, 4]
 N_HIDDEN = 5
-# conv input order: 5 hidden channels then the frozen flood channels
+# conv input order: 5 hidden channels then the frozen flood channels, which
+# every run folds into its constant plane
 IN_FLOOD_S, IN_FLOOD_T, IN_AGE = 5, 6, 7
 
 
 @dataclass(frozen=True)
 class ExtractState:
     hidden: np.ndarray  # 5 x H x W
-    bfs_frozen: np.ndarray  # 3 x H x W, the terminated flood hidden state
+    const: np.ndarray  # 5 x H x W, the terminated flood's share of every step
     step: int = 0
 
 
@@ -72,12 +74,11 @@ def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
     # ceil((H*W-1)/2) and the 2*dage +- 1 pre-activations stay within
     # +-(H*W+1), the bound of its dtype (bfs.flood_dtype)
     hidden = np.zeros((N_HIDDEN, H, W), bfs_frozen.dtype)
-    return ExtractState(hidden=hidden, bfs_frozen=bfs_frozen)
+    return ExtractState(hidden=hidden, const=conv2d(bfs_frozen, _weights().split(N_HIDDEN)[1]))
 
 
 def extract_step(state: ExtractState) -> ExtractState:
-    x = np.concatenate([state.hidden, state.bfs_frozen])
-    out = conv2d(x, _weights())
+    out = conv2d(state.hidden, _weights().split(N_HIDDEN)[0], state.const)
     for ch in DIR_CHANNELS:
         out[ch] = sawtooth(out[ch], -1)
     # The path combines the overlap seed with the directional acceptances so
@@ -101,16 +102,13 @@ def run_extract(
     one before the fixpoint is detected."""
     if not bfs.met:
         raise MazeError("extraction needs a met flood result")
-    onehot = bfs.final.maze_onehot
-    _, H, W = onehot.shape
-    horizon = flood_horizon(H, W)
+    maze = bfs.maze
+    horizon = flood_horizon(maze.height, maze.width)
     state = initial_state(bfs.final.hidden)
     state, done = run(extract_step, state, path_fixpoint, horizon, observe)
     if not done:
         raise MazeError(f"no path fixpoint within {horizon} steps")
     mask = state.hidden[PATH] > 0
-    src = np.argwhere(onehot[CH_SOURCE] > 0)
-    tgt = np.argwhere(onehot[CH_TARGET] > 0)
-    if not (mask[tuple(src[0])] and mask[tuple(tgt[0])]):
+    if not (mask[maze.source] and mask[maze.target]):
         raise ExtractionFailed("path fixpoint does not cover source and target")
     return ExtractResult(mask=mask, steps_used=state.step - 1)

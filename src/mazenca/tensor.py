@@ -6,6 +6,12 @@ its state and pre-activations can reach, and gets the narrowest integer dtype
 that holds it.  Kernel weights and biases are integers too, so every sum is
 exact whatever its order, and ``conv2d``, ``step``, ``relu`` and ``sawtooth``
 keep their input's dtype.
+
+An automaton's conv input is its hidden channels followed by static inputs
+that never change during a run (the maze one-hot, a frozen flood).  Because
+convolution is linear, ``KernelStack.split`` separates the two: the static
+channels are convolved once per run into a constant plane, and each step
+convolves only the hidden channels, starting from that plane.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ class KernelStack:
     weights: np.ndarray
     bias: np.ndarray
     _taps: list | None = field(default=None, repr=False, compare=False)
+    _splits: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -76,21 +83,53 @@ class KernelStack:
             ]
         return self._taps
 
+    def split(self, n: int) -> tuple[KernelStack, KernelStack]:
+        """(dynamic, static) stacks at input channel ``n``: the first ``n``
+        input channels with zero bias, and the remaining ones carrying the
+        bias, so that for any x
+        ``conv2d(x, self) == conv2d(x[:n], dynamic, conv2d(x[n:], static))``.
+        Built once per ``n`` and cached."""
+        if n not in self._splits:
+            if not 0 < n < self.in_channels:
+                raise TensorError(f"cannot split {self.in_channels} input channels at {n}")
+            self._splits[n] = (
+                KernelStack(weights=self.weights[:, :n], bias=np.zeros_like(self.bias)),
+                KernelStack(weights=self.weights[:, n:], bias=self.bias),
+            )
+        return self._splits[n]
 
-def conv2d(x: np.ndarray, kernels: KernelStack) -> np.ndarray:
+
+def conv2d(x: np.ndarray, kernels: KernelStack, base: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 convolution with zero padding of width (k-1)/2.  The output
-    has the input's dtype, which must hold every partial sum."""
-    if x.shape[0] != kernels.in_channels:
-        raise TensorError(
-            f"input has {x.shape[0]} channels, kernels expect {kernels.in_channels}"
-        )
-    _, H, W = x.shape
+    has the input's dtype, which must hold every partial sum.  It starts from
+    the bias, or from a copy of ``base`` (out x H x W, the input's dtype) in
+    place of the bias; ``base`` itself is never written."""
+    C, H, W = x.shape
+    if C != kernels.in_channels:
+        raise TensorError(f"input has {C} channels, kernels expect {kernels.in_channels}")
     pad = (kernels.k - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    bias = kernels.bias.astype(x.dtype)
-    out = np.repeat(bias[:, None, None], H, axis=1).repeat(W, axis=2)
+    xp = np.zeros((C, H + 2 * pad, W + 2 * pad), x.dtype)
+    xp[:, pad : pad + H, pad : pad + W] = x
+    if base is None:
+        out = np.empty((kernels.out_channels, H, W), x.dtype)
+        out[...] = kernels.bias.astype(x.dtype)[:, None, None]
+    elif base.shape != (kernels.out_channels, H, W) or base.dtype != x.dtype:
+        raise TensorError(
+            f"base is {base.dtype} {base.shape}, expected {x.dtype} "
+            f"{(kernels.out_channels, H, W)}"
+        )
+    else:
+        out = base.copy()
+    # accumulate into a view of the output channel: unit weights then add in
+    # place, and only other weights need a product temporary
     for co, ci, i, j, w in kernels.taps():
-        out[co] += w * xp[ci, i : i + H, j : j + W]
+        acc, view = out[co], xp[ci, i : i + H, j : j + W]
+        if w == 1:
+            acc += view
+        elif w == -1:
+            acc -= view
+        else:
+            acc += w * view
     return out
 
 

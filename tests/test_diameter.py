@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca import diameter
+from mazenca.bfs import N_HIDDEN, build_bfs_weights
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
     diameter_nca,
@@ -101,6 +102,33 @@ def test_gutter_isolates_copies_on_open_grid(monkeypatch, cells):
     monkeypatch.setattr(diameter, "CANVAS_CELLS", cells)
     maze = Maze(walls=np.zeros((6, 9), dtype=bool))
     np.testing.assert_array_equal(diameter_nca(maze).path_max, oracle_path_max(maze))
+
+
+def test_static_flood_taps_are_centre_taps():
+    # the canvas drops a settled copy's rows from its constant plane instead
+    # of rebuilding it, which is exact only while every plane cell depends on
+    # its own one-hot cell alone
+    _, static = build_bfs_weights().split(N_HIDDEN)
+    assert static.taps()
+    assert all((i, j) == (1, 1) for _, _, i, j, _ in static.taps())
+
+
+def test_canvas_builds_its_constant_plane_once(monkeypatch):
+    calls = []
+    original = diameter.flood_plane
+
+    def counting(onehot):
+        calls.append(onehot.shape)
+        return original(onehot)
+
+    monkeypatch.setattr(diameter, "flood_plane", counting)
+    maze = walls_only("....\n.#..\n....")
+    tiles = np.argwhere(~maze.walls)
+    ages, _ = source_ages(maze, tiles)
+    # floods from different tiles settle at different steps, so the canvas
+    # compacts several times
+    assert len(set(ages.tolist())) > 1
+    assert calls == [(4, len(tiles) * 4, 4)]
 
 
 @settings(max_examples=20, deadline=None)

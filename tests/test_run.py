@@ -2,11 +2,13 @@
 traces are unchanged, and step functions are looked up at call time."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import mazenca.bfs
+from mazenca import bfs, dfs, extract
 from mazenca.bfs import run_bfs
 from mazenca.cli import main
 from mazenca.dataset import read_trace
@@ -96,3 +98,58 @@ def test_run_loop_halts_observes_and_stops_at_horizon():
     assert (state, halted, seen) == (3, True, [1, 2, 3])
     state, halted = run(lambda s: s + 1, 0, lambda prev, s: False, 4)
     assert (state, halted) == (4, False)
+
+
+def _run_states(algo):
+    """Every state of one run over the golden maze, and its step function."""
+    maze = parse_maze(GOLDEN_MAZE)
+    states = []
+    if algo == "bfs":
+        run_bfs(maze, observe=states.append)
+        return states, bfs.bfs_step
+    if algo == "extract":
+        run_extract(run_bfs(maze), observe=states.append)
+        return states, extract.extract_step
+    run_dfs(maze, (8, 3), observe=states.append)
+    return states, dfs.dfs_step
+
+
+@pytest.mark.parametrize("algo", ["bfs", "extract", "dfs"])
+def test_step_returns_a_fresh_state_and_never_writes_its_input(algo):
+    # loop.run hands the previous state to the halting rule uncopied, and the
+    # trace keeps every state, so a step must not write its input
+    states, step_fn = _run_states(algo)
+    for state in (states[0], states[len(states) // 2]):
+        hidden, const = state.hidden.copy(), state.const.copy()
+        a, b = step_fn(state), step_fn(state)
+        assert a.step == b.step == state.step + 1
+        np.testing.assert_array_equal(a.hidden, b.hidden)
+        assert not np.shares_memory(a.hidden, state.hidden)
+        np.testing.assert_array_equal(state.hidden, hidden)
+        np.testing.assert_array_equal(state.const, const)
+        np.testing.assert_array_equal(a.const, const)
+
+
+def test_static_stack_is_convolved_once_per_run(monkeypatch):
+    maze = parse_maze(GOLDEN_MAZE)
+    calls = Counter()
+    for module in (bfs, extract, dfs):
+        dynamic, static = module._weights().split(module.N_HIDDEN)
+        original = module.conv2d
+
+        def counting(x, kernels, base=None, name=module.__name__, dynamic=dynamic,
+                     static=static, original=original):
+            kind = "static" if kernels is static else "dynamic" if kernels is dynamic else "?"
+            calls[name, kind] += 1
+            return original(x, kernels, base)
+
+        monkeypatch.setattr(module, "conv2d", counting)
+
+    result = run_bfs(maze)
+    assert calls == {("mazenca.bfs", "static"): 1, ("mazenca.bfs", "dynamic"): result.meet_step}
+    calls.clear()
+    steps = run_extract(result).steps_used + 1
+    assert calls == {("mazenca.extract", "static"): 1, ("mazenca.extract", "dynamic"): steps}
+    calls.clear()
+    steps = run_dfs(maze, (8, 3)).steps_used
+    assert calls == {("mazenca.dfs", "static"): 1, ("mazenca.dfs", "dynamic"): steps}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazenca import diameter
+from mazenca import bfs, dfs, diameter, extract
 from mazenca.bfs import flood_dtype, run_bfs
 from mazenca.dfs import initial_state as dfs_initial_state
 from mazenca.dfs import run_dfs
@@ -87,6 +87,43 @@ def test_conv2d_zero_padding():
     np.testing.assert_array_equal(conv2d(x, ks), np.full((1, 2, 2), 4))
 
 
+STACKS = [
+    (bfs.build_bfs_weights, bfs.N_HIDDEN),
+    (extract.build_extract_weights, extract.N_HIDDEN),
+    (dfs.build_dfs_weights, dfs.N_HIDDEN),
+]
+
+
+@pytest.mark.parametrize("build, n_hidden", STACKS)
+@pytest.mark.parametrize("shape", [(1, 13), (13, 1), (16, 16), (9, 14)])
+def test_constant_plane_split_matches_the_whole_stack(build, n_hidden, shape):
+    ks = build()
+    dynamic, static = ks.split(n_hidden)
+    assert ks.split(n_hidden) == (dynamic, static) and ks.split(n_hidden)[0] is dynamic
+    assert not dynamic.bias.any()
+    for seed in range(3):
+        rng = np.random.default_rng([seed, n_hidden, *shape])
+        x = rng.integers(-20, 21, size=(ks.in_channels, *shape)).astype(np.int32)
+        base = conv2d(x[n_hidden:], static)
+        kept = base.copy()
+        out = conv2d(x[:n_hidden], dynamic, base)
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, conv2d(x, ks))
+        np.testing.assert_array_equal(base, kept)
+
+
+def test_split_and_base_validation():
+    ks = bfs.build_bfs_weights()
+    for n in (0, ks.in_channels):
+        with pytest.raises(TensorError, match="split"):
+            ks.split(n)
+    dynamic, _ = ks.split(bfs.N_HIDDEN)
+    x = np.zeros((bfs.N_HIDDEN, 4, 5), dtype=np.int16)
+    for base in (np.zeros((3, 4, 5), np.int8), np.zeros((3, 5, 4), np.int16)):
+        with pytest.raises(TensorError, match="base"):
+            conv2d(x, dynamic, base)
+
+
 def test_kernel_validation():
     with pytest.raises(TensorError):
         KernelStack(weights=np.zeros((1, 1, 2, 2)), bias=np.zeros(1))
@@ -140,7 +177,7 @@ def test_int_dtype_covers_each_automaton_bound():
         maze = Maze(walls=np.zeros((side, side), dtype=bool))
         # run_dfs's default horizon is twice the number of empty tiles
         state = dfs_initial_state(maze, (0, 0), 2 * side * side)
-        assert state.hidden.dtype == state.maze_onehot.dtype == dtype
+        assert state.hidden.dtype == state.const.dtype == dtype
     with pytest.raises(MazeError, match="overflow"):
         int_dtype(2**63)
     with pytest.raises(MazeError, match="overflow"):
