@@ -10,6 +10,18 @@ its direction is the integer code 1..4 of the move that would reach it, in
 priority order, so ``5 * rank + direction`` orders pops exactly.  The maze
 one-hot enters the state once, as the constant plane the kernels add to
 every step.
+
+A step moves one tile, so the state carries its active box: the bounding
+box of the cells the last step changed in any channel but the rank, a popped
+tile included; the first step's box is the whole grid.  A cell further than
+the kernel's reach (2) from the box reads only cells whose other channels
+did not change, and no channel but the rank reads the rank, so the step
+leaves that cell as it was, except that a stacked tile's rank ages by 1.  A
+step therefore starts from one exact whole-grid add, rank += stack, then
+convolves the box dilated by 4 and keeps the box dilated by 2, which the
+crop's zero border does not reach.  The pebble lies in the box, so the stuck
+test reads the box; the pop read-out compares ranks across the whole grid,
+and runs, over the whole grid, on stuck steps only.
 """
 
 from __future__ import annotations
@@ -78,6 +90,9 @@ def _w_direction() -> np.ndarray:
 class DfsState:
     hidden: np.ndarray  # 9 x H x W
     const: np.ndarray  # 9 x H x W, the maze one-hot's share of every step
+    # (rows, cols) half-open ranges of the cells the last step changed in any
+    # channel but STACK_RANK; the next step recomputes only near them
+    active: tuple[tuple[int, int], tuple[int, int]]
     step: int = 0
     popped: np.ndarray | None = None  # H x W pop indicator of the last step
 
@@ -143,52 +158,85 @@ def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     # in [-10, 8]
     dtype = int_dtype(5 * (horizon + 1))
     onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
+    H, W = maze.walls.shape
     return DfsState(
-        hidden=np.zeros((N_HIDDEN, *maze.walls.shape), dtype),
+        hidden=np.zeros((N_HIDDEN, H, W), dtype),
         const=conv2d(onehot, _weights().split(N_HIDDEN)[1]),
+        active=((0, H), (0, W)),
     )
+
+
+def _window(active, reach: int, H: int, W: int) -> tuple[int, int, int, int]:
+    """The active box dilated by ``reach`` and clipped to the grid."""
+    (r0, r1), (c0, c1) = active
+    return max(r0 - reach, 0), min(r1 + reach, H), max(c0 - reach, 0), min(c1 + reach, W)
 
 
 def dfs_step(state: DfsState) -> DfsState:
     prev = state.hidden
-    out = conv2d(prev, _weights().split(N_HIDDEN)[0], state.const)
+    _, H, W = prev.shape
+    # only cells within reach 2 of the active box have changed conv inputs;
+    # the conv reads reach 2 around those in turn, so a crop's zero border
+    # stays outside the kept window unless it is the grid's own border
+    r0, r1, c0, c1 = _window(state.active, 2, H, W)
+    i0, i1, j0, j1 = _window(state.active, 4, H, W)
+    crop = np.s_[:, i0:i1, j0:j1]
+    out = conv2d(prev[crop], _weights().split(N_HIDDEN)[0], state.const[crop])
+    out = out[:, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
+    before = prev[:, r0:r1, c0:c1]
 
-    for ch in ROUTE_DIRS:
-        out[ch] = step(out[ch])
-    out[ROUTE] = step(out[ROUTE] + step(sum(out[ch] for ch in ROUTE_DIRS)))
-
-    for ch in (STACK, STACK_RANK, STACK_DIR):
-        out[ch] = relu(out[ch])
+    out[1:5] = step(out[1:5])  # the four ROUTE_DIRS
+    out[ROUTE] = step(out[ROUTE] + step(out[1:5].sum(axis=0, dtype=out.dtype)))
+    out[STACK:PEBBLE] = relu(out[STACK:PEBBLE])  # STACK, STACK_RANK, STACK_DIR
 
     # a tile re-added before being popped carries stack == 2; overwrite its
     # old bookkeeping so it behaves as freshly stacked (rank also picked up
     # this step's increment, hence the extra +1)
-    dbl = sawtooth(out[STACK], 2)
-    out[STACK_DIR] -= prev[STACK_DIR] * dbl
-    out[STACK] -= prev[STACK] * dbl
-    out[STACK_RANK] -= (prev[STACK_RANK] + 1) * dbl
+    if (out[STACK] == 2).any():
+        dbl = sawtooth(out[STACK], 2)
+        out[STACK_DIR] -= before[STACK_DIR] * dbl
+        out[STACK] -= before[STACK] * dbl
+        out[STACK_RANK] -= (before[STACK_RANK] + 1) * dbl
 
-    out[PEBBLE] = out[ROUTE] - prev[ROUTE]
-    is_stuck = sawtooth(np.array(out[PEBBLE].max()), 0)
+    out[PEBBLE] = out[ROUTE] - before[ROUTE]
 
-    # Pop read-out: the stacked tile with the least rank, ties broken by
-    # direction priority.  Off-stack tiles total 0 and take the dtype's
-    # maximum, which exceeds every reachable total (see initial_state).
-    total_rank = 5 * out[STACK_RANK] + out[STACK_DIR]
-    total_rank[total_rank == 0] = np.iinfo(total_rank.dtype).max
-    is_popped = (total_rank == total_rank.min()).astype(total_rank.dtype) * is_stuck
-    popped_tiles = (is_popped > 0) & (out[STACK] > 0)
-    for ch in (STACK, STACK_RANK, STACK_DIR):
-        out[ch] -= out[ch] * is_popped
+    # outside the window only stacked tiles change: each ages by 1
+    hidden = prev.copy()
+    hidden[STACK_RANK] += hidden[STACK]
+    window = hidden[:, r0:r1, c0:c1]
+    window[...] = out
+
+    # the last step's pebble lies in the active box, so the pebble channel
+    # is 0 outside the window; inside it is 0 or 1
+    is_stuck = not window[PEBBLE].any()
+    if not is_stuck:
+        popped_tiles = np.zeros((H, W), bool)
+    else:
+        # Pop read-out: the stacked tile with the least rank, ties broken by
+        # direction priority.  Off-stack tiles total 0 and take the dtype's
+        # maximum, which exceeds every reachable total (see initial_state).
+        total_rank = 5 * hidden[STACK_RANK] + hidden[STACK_DIR]
+        total_rank[total_rank == 0] = np.iinfo(total_rank.dtype).max
+        is_popped = total_rank == total_rank.min()
+        popped_tiles = is_popped & (hidden[STACK] > 0)
+        hidden[STACK:PEBBLE, is_popped] = 0
 
     # zero stack bookkeeping on tiles the route just reached: the route
     # inhibition in the conv clears them one step later anyway, but doing it
     # here keeps route and stack disjoint at every observable state
-    routed = out[ROUTE] > 0
-    for ch in (STACK, STACK_RANK, STACK_DIR):
-        out[ch][routed] = 0
+    window[STACK:PEBBLE] *= 1 - window[ROUTE]
 
-    return DfsState(hidden=out, const=state.const, step=state.step + 1, popped=popped_tiles)
+    changed = window != before
+    changed[STACK_RANK] = False
+    rows, cols = (np.nonzero(changed.any(axis=0)) + np.array([[r0], [c0]])).tolist()
+    if is_stuck:
+        pr, pc = np.nonzero(popped_tiles)
+        rows += pr.tolist()
+        cols += pc.tolist()
+    # a step that changed nothing may keep any box: its successor only ages
+    active = ((min(rows), max(rows) + 1), (min(cols), max(cols) + 1)) if rows else state.active
+    return DfsState(hidden=hidden, const=state.const, active=active, step=state.step + 1,
+                    popped=popped_tiles)
 
 
 def drained(prev: DfsState, state: DfsState) -> bool:
@@ -225,12 +273,13 @@ def run_dfs(
     trace = DfsTrace()
 
     def record(state: DfsState) -> None:
-        pebble = np.argwhere(state.hidden[PEBBLE] > 0)
+        pebble = np.flatnonzero(state.hidden[PEBBLE])
         if len(pebble):
-            trace.visit_order.append((int(pebble[0][0]), int(pebble[0][1])))
+            trace.visit_order.append(divmod(int(pebble[0]), maze.width))
             trace.visit_steps.append(state.step)
-        for p in np.argwhere(state.popped):
-            trace.pop_events.append((state.step, (int(p[0]), int(p[1]))))
+        if state.popped.any():
+            for p in np.argwhere(state.popped):
+                trace.pop_events.append((state.step, (int(p[0]), int(p[1]))))
         if observe is not None:
             observe(state)
 

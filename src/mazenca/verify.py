@@ -72,7 +72,8 @@ def check_dfs(args: tuple[int, int, int]) -> str | None:
     """Visit-order equality with the classical priority DFS, plus the
     single-pebble and route-monotonicity invariants at every step."""
     seed, index, max_size = args
-    size = 4 + index % max(1, max_size - 3)  # cycle sizes 4 .. max_size
+    smallest = min(4, max_size)
+    size = smallest + index % (max_size - smallest + 1)  # cycle min(4, N) .. N
     maze = seeded_maze("diameter", size, size, seed, index)
     start = tuple(int(v) for v in np.argwhere(~maze.walls)[0])
     expected = dfs_order(maze, start)

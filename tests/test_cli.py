@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from mazenca import verify
 from mazenca.cli import main
 from mazenca.dataset import read_dataset, read_trace
 from mazenca.oracle import dfs_order
@@ -92,6 +93,24 @@ def test_verify_command(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--task", "shortest_path", "--n", "5",
                  "--size", "8", "--seed", "7"]) == 0
     assert "5/5 exact" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size, sides", [(1, [1]), (2, [2]), (3, [3]), (6, [4, 5, 6])])
+def test_verify_dfs_cycles_sizes_up_to_the_given_size(capsys, monkeypatch, size, sides):
+    # sizes below 4 once checked 4x4 mazes and reported them as exact
+    monkeypatch.setenv("NCA_THREADS", "1")
+    seen = []
+    original = verify.seeded_maze
+
+    def recording(task, height, width, seed, index):
+        seen.append(height)
+        assert height == width
+        return original(task, height, width, seed, index)
+
+    monkeypatch.setattr(verify, "seeded_maze", recording)
+    assert main(["verify", "--task", "dfs", "--n", "6", "--size", str(size)]) == 0
+    assert "6/6 exact" in capsys.readouterr().out
+    assert seen == [sides[i % len(sides)] for i in range(6)]
 
 
 def test_evolve_command(tmp_path, capsys):

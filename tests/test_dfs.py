@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from mazenca.dfs import (
     ROUTE,
     STACK,
     build_dfs_weights,
+    dfs_step,
+    initial_state,
     run_dfs,
 )
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
-from mazenca.oracle import dfs_order
+from mazenca.oracle import dfs_order, distance_map
 from sweep import sweep_mazes
 
 
@@ -103,6 +107,42 @@ def test_visit_order_matches_oracle_across_shapes_and_densities():
         trace = run_dfs(maze, start)
         assert trace.visit_order == dfs_order(maze, start), str(maze.walls)
         assert_step_timing(trace)
+
+
+def test_visit_order_matches_oracle_at_the_benchmark_top_size():
+    maze = generate_maze(GenConfig(width=64, height=64, task="diameter", wall_probability=0.3),
+                         rng=np.random.default_rng([64, 3]))
+    seen, largest = np.zeros(maze.walls.shape, dtype=bool), None
+    for p in np.argwhere(~maze.walls):
+        if not seen[tuple(p)]:
+            component = distance_map(maze, tuple(int(v) for v in p)) >= 0
+            seen |= component
+            if largest is None or component.sum() > largest.sum():
+                largest = component
+    start = tuple(int(v) for v in np.argwhere(largest)[0])
+    trace = run_dfs(maze, start)
+    assert len(trace.visit_order) == largest.sum() > 2000
+    assert trace.visit_order == dfs_order(maze, start)
+    assert_step_timing(trace)
+
+
+def test_active_box_steps_match_whole_grid_steps():
+    # the reference steps the same state with its active box widened to the
+    # whole grid, so every cell is recomputed
+    for i, maze in enumerate(sweep_mazes(1000, 12, seed=99)):
+        empties = np.argwhere(~maze.walls)
+        start = tuple(int(v) for v in empties[i % len(empties)])
+        boxed = []
+        run_dfs(maze, start, observe=boxed.append)
+        whole = ((0, maze.height), (0, maze.width))
+        state = initial_state(maze, start, 2 * len(empties))
+        assert state.active == whole
+        for expected in boxed:
+            state = dfs_step(replace(state, active=whole))
+            assert state.step == expected.step
+            assert state.hidden.dtype == expected.hidden.dtype
+            assert np.array_equal(state.hidden, expected.hidden), (i, state.step)
+            assert np.array_equal(state.popped, expected.popped), (i, state.step)
 
 
 @settings(max_examples=15, deadline=None)
