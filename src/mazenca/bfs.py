@@ -13,7 +13,7 @@ plane its kernels add to every step.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,7 +94,7 @@ def bfs_step(state: BfsState) -> BfsState:
     out[FLOOD_S] = step(out[FLOOD_S])
     out[FLOOD_T] = step(out[FLOOD_T])
     # age is an exact integer accumulation; never negative, so relu is a no-op
-    return replace(state, hidden=out, step=state.step + 1)
+    return BfsState(hidden=out, const=state.const, step=state.step + 1)
 
 
 def flood_horizon(height: int, width: int) -> int:

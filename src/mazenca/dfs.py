@@ -17,11 +17,22 @@ tile included; the first step's box is the whole grid.  A cell further than
 the kernel's reach (2) from the box reads only cells whose other channels
 did not change, and no channel but the rank reads the rank, so the step
 leaves that cell as it was, except that a stacked tile's rank ages by 1.  A
-step therefore starts from one exact whole-grid add, rank += stack, then
-convolves the box dilated by 4 and keeps the box dilated by 2, which the
-crop's zero border does not reach.  The pebble lies in the box, so the stuck
-test reads the box; the pop read-out compares ranks across the whole grid,
-and runs, over the whole grid, on stuck steps only.
+step therefore convolves the box dilated by 4 and keeps the box dilated by
+2, which the crop's zero border does not reach.
+
+What a step reads, and what it costs.  A state stores its planes in blocks
+of up to BLOCK x BLOCK cells, which states share until a step writes into
+them.  A block's ranks are as of the step that last wrote it, so the aging
+costs nothing until a step copies the block, and one add then brings the
+copy up to date.  A step reads its crop, and writes its window and any
+popped tile into copies of the blocks they meet.  It reads nothing else of
+the planes.  The pebble's tile, the popped tile and the stacked tiles with
+their pop keys are records the state keeps, updated from the window and the
+pops, and the stuck test, the pop read-out and the halting rule read those.
+Up to 64 x 64 the grid is one block, and a step is about 60 numpy calls on
+arrays of a few hundred cells, 28 of them the conv's taps, so its cost is
+per-call dispatch; a larger grid adds a block copy of at most 64 x 64 cells
+per step, not work over the whole grid.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import numpy as np
 
 from .grid import Maze, MazeError, one_hot
 from .loop import run
-from .tensor import KernelStack, conv2d, int_dtype, relu, sawtooth, step
+from .tensor import KernelStack, conv2d, int_dtype, relu, step
 
 # hidden channel registry
 ROUTE = 0
@@ -88,13 +99,33 @@ def _w_direction() -> np.ndarray:
 
 @dataclass(frozen=True)
 class DfsState:
-    hidden: np.ndarray  # 9 x H x W
+    """One state of a run.  Its planes are stored as read-only blocks of up
+    to BLOCK x BLOCK cells, row-major, that states share until a step writes
+    into them.  A block's ranks are as of its epoch, the step that last
+    wrote it: a stacked tile in it has aged ``step - epoch`` more since.
+    ``hidden`` assembles the 9 x H x W planes as of ``step``."""
+
+    blocks: tuple[np.ndarray, ...]
+    epochs: tuple[int, ...]  # the step that last wrote each block
     const: np.ndarray  # 9 x H x W, the maze one-hot's share of every step
     # (rows, cols) half-open ranges of the cells the last step changed in any
     # channel but STACK_RANK; the next step recomputes only near them
     active: tuple[tuple[int, int], tuple[int, int]]
     step: int = 0
-    popped: np.ndarray | None = None  # H x W pop indicator of the last step
+    # records of what the planes hold, for the read-outs: the tiles the last
+    # step popped (at most one) and the pebble's tile
+    popped: tuple[tuple[int, int], ...] = ()
+    pebble: tuple[int, int] | None = None
+    # the stacked tiles (STACK > 0), in no particular order: 2 x K, read-only,
+    # row 0 the flat index row * W + col, row 1 the pop key
+    # 5 * (rank - step) + direction, which stays fixed while the tile waits
+    stacked: np.ndarray = field(default_factory=lambda: _frozen(np.zeros((2, 0), np.int64)))
+
+    @functools.cached_property
+    def hidden(self) -> np.ndarray:
+        """The 9 x H x W hidden planes, assembled once and read-only."""
+        _, H, W = self.const.shape
+        return _frozen(np.array(_read(self, 0, H, 0, W)))
 
 
 @dataclass
@@ -103,6 +134,79 @@ class DfsTrace:
     visit_steps: list[int] = field(default_factory=list)
     pop_events: list[tuple[int, tuple[int, int]]] = field(default_factory=list)
     steps_used: int = 0
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# side of the blocks a state stores its planes in.  A grid up to 64 x 64 is
+# one block, which every step copies in one call; a step on a larger grid
+# copies only the blocks its window meets.
+BLOCK = 64
+
+
+def _pieces(W: int, r0: int, r1: int, c0: int, c1: int) -> list:
+    """The blocks that meet cells [r0, r1) x [c0, c1): (block index, the
+    cells within the block, the same cells within the region)."""
+    R, C, per_row = r0 - r0 % BLOCK, c0 - c0 % BLOCK, -(-W // BLOCK)
+    if r1 <= R + BLOCK and c1 <= C + BLOCK:  # the common case, one block
+        return [(R // BLOCK * per_row + C // BLOCK,
+                 (slice(None), slice(r0 - R, r1 - R), slice(c0 - C, c1 - C)), ...)]
+    pieces = []
+    for R in range(R, r1, BLOCK):
+        a0, a1 = max(r0, R), min(r1, R + BLOCK)
+        for C in range(c0 - c0 % BLOCK, c1, BLOCK):
+            b0, b1 = max(c0, C), min(c1, C + BLOCK)
+            pieces.append((R // BLOCK * per_row + C // BLOCK,
+                           (slice(None), slice(a0 - R, a1 - R), slice(b0 - C, b1 - C)),
+                           (slice(None), slice(a0 - r0, a1 - r0), slice(b0 - c0, b1 - c0))))
+    return pieces
+
+
+def _age(planes: np.ndarray, steps: int) -> None:
+    """Age every stacked tile of ``planes`` by ``steps`` in place."""
+    planes[STACK_RANK] += planes[STACK] if steps == 1 else steps * planes[STACK]
+
+
+def _read(state: DfsState, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Cells [r0, r1) x [c0, c1) of the state's planes, not to be written: a
+    view when one block holds them and was written by the last step."""
+    t, pieces = state.step, _pieces(state.const.shape[2], r0, r1, c0, c1)
+    k, inner, _ = pieces[0]
+    if len(pieces) == 1 and state.epochs[k] == t:
+        return state.blocks[k][inner]
+    out = np.empty((N_HIDDEN, r1 - r0, c1 - c0), state.const.dtype)
+    for k, inner, outer in pieces:
+        out[outer] = state.blocks[k][inner]
+        if state.epochs[k] != t:
+            _age(out[outer], t - state.epochs[k])
+    return out
+
+
+def _write(state: DfsState, r0: int, c0: int, values: np.ndarray, popped) -> tuple:
+    """The blocks and epochs of the next state: ``values`` written from
+    (r0, c0) on, and the stack channels zeroed at each popped tile, in
+    copies of the blocks they meet, each aged to the next step before its
+    first write and read-only after the last; the other blocks are shared."""
+    W, t1 = state.const.shape[2], state.step + 1
+    blocks, epochs, fresh = list(state.blocks), list(state.epochs), []
+    _, h, w = values.shape
+    writes = [(k, inner, values[outer]) for k, inner, outer in _pieces(W, r0, r0 + h, c0, c0 + w)]
+    for r, c in popped:
+        (k, (_, rows, cols), _), = _pieces(W, r, r + 1, c, c + 1)
+        writes.append((k, (slice(STACK, PEBBLE), rows, cols), 0))
+    for k, inner, value in writes:
+        if epochs[k] != t1:
+            blocks[k] = blocks[k].copy()
+            _age(blocks[k], t1 - epochs[k])
+            epochs[k] = t1
+            fresh.append(blocks[k])
+        blocks[k][inner] = value
+    for block in fresh:
+        _frozen(block)
+    return tuple(blocks), tuple(epochs)
 
 
 def build_dfs_weights() -> KernelStack:
@@ -159,96 +263,109 @@ def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     dtype = int_dtype(5 * (horizon + 1))
     onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
     H, W = maze.walls.shape
+    blocks = tuple(
+        _frozen(np.zeros((N_HIDDEN, min(BLOCK, H - r), min(BLOCK, W - c)), dtype))
+        for r in range(0, H, BLOCK) for c in range(0, W, BLOCK)
+    )
     return DfsState(
-        hidden=np.zeros((N_HIDDEN, H, W), dtype),
-        const=conv2d(onehot, _weights().split(N_HIDDEN)[1]),
+        blocks=blocks,
+        epochs=(0,) * len(blocks),
+        const=_frozen(conv2d(onehot, _weights().split(N_HIDDEN)[1])),
         active=((0, H), (0, W)),
     )
 
 
-def _window(active, reach: int, H: int, W: int) -> tuple[int, int, int, int]:
-    """The active box dilated by ``reach`` and clipped to the grid."""
-    (r0, r1), (c0, c1) = active
-    return max(r0 - reach, 0), min(r1 + reach, H), max(c0 - reach, 0), min(c1 + reach, W)
-
-
 def dfs_step(state: DfsState) -> DfsState:
-    prev = state.hidden
-    _, H, W = prev.shape
+    t = state.step
+    _, H, W = state.const.shape
     # only cells within reach 2 of the active box have changed conv inputs;
     # the conv reads reach 2 around those in turn, so a crop's zero border
     # stays outside the kept window unless it is the grid's own border
-    r0, r1, c0, c1 = _window(state.active, 2, H, W)
-    i0, i1, j0, j1 = _window(state.active, 4, H, W)
-    crop = np.s_[:, i0:i1, j0:j1]
-    out = conv2d(prev[crop], _weights().split(N_HIDDEN)[0], state.const[crop])
-    out = out[:, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
-    before = prev[:, r0:r1, c0:c1]
+    (b0, b1), (d0, d1) = state.active
+    r0, r1, c0, c1 = max(b0 - 2, 0), min(b1 + 2, H), max(d0 - 2, 0), min(d1 + 2, W)
+    i0, i1, j0, j1 = max(b0 - 4, 0), min(b1 + 4, H), max(d0 - 4, 0), min(d1 + 4, W)
+    x = _read(state, i0, i1, j0, j1)
+    out = conv2d(x, _weights().split(N_HIDDEN)[0], state.const[:, i0:i1, j0:j1])
 
-    out[1:5] = step(out[1:5])  # the four ROUTE_DIRS
-    out[ROUTE] = step(out[ROUTE] + step(out[1:5].sum(axis=0, dtype=out.dtype)))
-    out[STACK:PEBBLE] = relu(out[STACK:PEBBLE])  # STACK, STACK_RANK, STACK_DIR
+    # pointwise activations, in place on the whole contiguous crop
+    dirs, route, stack = out[1:5], out[ROUTE], out[STACK:PEBBLE]
+    step(dirs, out=dirs)  # the four ROUTE_DIRS
+    np.add(route, np.maximum.reduce(dirs), out=route)
+    step(route, out=route)
+    relu(stack, out=stack)  # STACK, STACK_RANK, STACK_DIR
+    # a tile re-added before being popped carries stack == 2 (at most one
+    # pebble neighbours it, and a stack is 0 or 1 between steps); the test
+    # reads the contiguous crop, which holds the window
+    readded = np.maximum.reduce(out[STACK], axis=None) == 2
 
-    # a tile re-added before being popped carries stack == 2; overwrite its
-    # old bookkeeping so it behaves as freshly stacked (rank also picked up
-    # this step's increment, hence the extra +1)
-    if (out[STACK] == 2).any():
-        dbl = sawtooth(out[STACK], 2)
-        out[STACK_DIR] -= before[STACK_DIR] * dbl
-        out[STACK] -= before[STACK] * dbl
-        out[STACK_RANK] -= (before[STACK_RANK] + 1) * dbl
+    window = np.s_[:, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
+    out, before = out[window], x[window]
+    # overwrite a re-added tile's old bookkeeping so it behaves as freshly
+    # stacked (rank also picked up this step's increment, hence the extra +1)
+    dbl = None
+    if readded:
+        dbl = out[STACK] == 2
+        fix = before[STACK:PEBBLE] * dbl
+        fix[STACK_RANK - STACK] += dbl
+        out[STACK:PEBBLE] -= fix
 
-    out[PEBBLE] = out[ROUTE] - before[ROUTE]
+    np.subtract(out[ROUTE], before[ROUTE], out=out[PEBBLE])
+    # the route never shrinks, so the pebble marks the tiles the route just
+    # reached.  Zero their stack bookkeeping: the route inhibition in the
+    # conv clears it one step later anyway, but doing it here keeps route
+    # and stack disjoint at every observable state.  Every other route tile
+    # already holds none: the inhibition outweighs any input.
+    rows, cols = out[PEBBLE].nonzero()
+    pebbles = list(zip(rows.tolist(), cols.tolist()))
+    for r, c in pebbles:
+        out[STACK:PEBBLE, r, c] = 0
 
-    # outside the window only stacked tiles change: each ages by 1
-    hidden = prev.copy()
-    hidden[STACK_RANK] += hidden[STACK]
-    window = hidden[:, r0:r1, c0:c1]
-    window[...] = out
+    # A stacked tile ages, keeps its direction and is never routed, so its
+    # key changes only when it is re-added or popped; other tiles change the
+    # index only when their stack flips.
+    changed = out != before
+    moved = changed[STACK] if dbl is None else changed[STACK] | dbl
+    stacked, tiles, keys = state.stacked, [], []
+    rows, cols = moved.nonzero()
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        p = (r0 + r) * W + c0 + c
+        if before[STACK, r, c]:
+            stacked = stacked[:, stacked[0] != p]
+        if out[STACK, r, c]:
+            tiles.append(p)
+            keys.append(5 * (int(out[STACK_RANK, r, c]) - t - 1) + int(out[STACK_DIR, r, c]))
+    if tiles:
+        stacked = np.concatenate((stacked, [tiles, keys]), axis=1)
 
-    # the last step's pebble lies in the active box, so the pebble channel
-    # is 0 outside the window; inside it is 0 or 1
-    is_stuck = not window[PEBBLE].any()
-    if not is_stuck:
-        popped_tiles = np.zeros((H, W), bool)
-    else:
-        # Pop read-out: the stacked tile with the least rank, ties broken by
-        # direction priority.  Off-stack tiles total 0 and take the dtype's
-        # maximum, which exceeds every reachable total (see initial_state).
-        total_rank = 5 * hidden[STACK_RANK] + hidden[STACK_DIR]
-        total_rank[total_rank == 0] = np.iinfo(total_rank.dtype).max
-        is_popped = total_rank == total_rank.min()
-        popped_tiles = is_popped & (hidden[STACK] > 0)
-        hidden[STACK:PEBBLE, is_popped] = 0
+    popped = ()
+    if not pebbles and stacked.shape[1]:
+        # Stuck: pop the stacked tile with the least 5 * rank + direction:
+        # the least rank, ties broken by direction priority.  Every stacked
+        # tile's 5 * rank + direction is its key plus the same 5 * (t + 1).
+        is_popped = stacked[1] == np.minimum.reduce(stacked[1])
+        popped = tuple(divmod(p, W) for p in sorted(stacked[0, is_popped].tolist()))
+        stacked = stacked[:, ~is_popped]
+    if stacked is not state.stacked:
+        _frozen(stacked)
 
-    # zero stack bookkeeping on tiles the route just reached: the route
-    # inhibition in the conv clears them one step later anyway, but doing it
-    # here keeps route and stack disjoint at every observable state
-    window[STACK:PEBBLE] *= 1 - window[ROUTE]
+    blocks, epochs = _write(state, r0, c0, out, popped)
 
-    changed = window != before
     changed[STACK_RANK] = False
-    rows, cols = (np.nonzero(changed.any(axis=0)) + np.array([[r0], [c0]])).tolist()
-    if is_stuck:
-        pr, pc = np.nonzero(popped_tiles)
-        rows += pr.tolist()
-        cols += pc.tolist()
+    rows, cols = np.logical_or.reduce(changed, axis=0).nonzero()
+    rows = [r0 + r for r in rows.tolist()] + [r for r, _ in popped]
+    cols = [c0 + c for c in cols.tolist()] + [c for _, c in popped]
     # a step that changed nothing may keep any box: its successor only ages
     active = ((min(rows), max(rows) + 1), (min(cols), max(cols) + 1)) if rows else state.active
-    return DfsState(hidden=hidden, const=state.const, active=active, step=state.step + 1,
-                    popped=popped_tiles)
+    pebble = (r0 + pebbles[0][0], c0 + pebbles[0][1]) if pebbles else None
+    return DfsState(blocks=blocks, epochs=epochs, const=state.const,
+                    active=active, step=t + 1, popped=popped, pebble=pebble, stacked=stacked)
 
 
 def drained(prev: DfsState, state: DfsState) -> bool:
     """Halting rule: no pebble, an empty stack and no pop this step.  A pop
     empties the stack one step before the popped tile's pebble appears, so a
     pop step never counts as termination."""
-    return (
-        state.step > 1
-        and state.hidden[PEBBLE].max() == 0
-        and state.hidden[STACK].max() == 0
-        and not state.popped.any()
-    )
+    return state.step > 1 and state.pebble is None and not state.stacked.shape[1] and not state.popped
 
 
 def run_dfs(
@@ -273,13 +390,11 @@ def run_dfs(
     trace = DfsTrace()
 
     def record(state: DfsState) -> None:
-        pebble = np.flatnonzero(state.hidden[PEBBLE])
-        if len(pebble):
-            trace.visit_order.append(divmod(int(pebble[0]), maze.width))
+        if state.pebble is not None:
+            trace.visit_order.append(state.pebble)
             trace.visit_steps.append(state.step)
-        if state.popped.any():
-            for p in np.argwhere(state.popped):
-                trace.pop_events.append((state.step, (int(p[0]), int(p[1]))))
+        for tile in state.popped:
+            trace.pop_events.append((state.step, tile))
         if observe is not None:
             observe(state)
 

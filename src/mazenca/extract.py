@@ -11,7 +11,7 @@ once, as the constant plane the kernels add to every step.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -86,7 +86,7 @@ def extract_step(state: ExtractState) -> ExtractState:
     # single-tile meet).
     seed = step(out[PATH])  # = step(flood_s + flood_t - 1)
     out[PATH] = step(seed + sum(out[ch] for ch in DIR_CHANNELS))
-    return replace(state, hidden=out, step=state.step + 1)
+    return ExtractState(hidden=out, const=state.const, step=state.step + 1)
 
 
 def path_fixpoint(prev: ExtractState, state: ExtractState) -> bool:

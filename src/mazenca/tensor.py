@@ -12,6 +12,16 @@ that never change during a run (the maze one-hot, a frozen flood).  Because
 convolution is linear, ``KernelStack.split`` separates the two: the static
 channels are convolved once per run into a constant plane, and each step
 convolves only the hidden channels, starting from that plane.
+
+``conv2d`` is bound by numpy's per-call cost, not by arithmetic, at the
+sizes the automata run: a step's conv is a few dozen array operations on a
+few hundred to a few thousand cells.  So it makes each tap one contiguous
+1-D operation.  The input is copied into a zero-bordered buffer with one
+flat row per channel and row stride ``Wp = W + 2 * pad``; output cell
+``(r, c)`` sits at flat index ``r * Wp + c``, and tap ``(i, j)`` reads the
+slice that starts ``i * Wp + j`` later.  Each flat output row then carries
+``2 * pad`` wrap-around cells, which read across the border and are dropped
+at the end.
 """
 
 from __future__ import annotations
@@ -40,9 +50,10 @@ class KernelStack:
     """out x in x k x k convolution weights with per-output-channel bias,
     both integer-valued.
 
-    ``taps`` caches the nonzero entries in a fixed order (output channel,
-    then input channel, then kernel row, then kernel column) so convolution
-    uses one deterministic summation order.
+    ``taps`` caches the nonzero entries in a fixed order (input channel,
+    then kernel row, then kernel column, then output channel), so taps that
+    read the same input cells are adjacent and convolution uses one
+    deterministic summation order.
     """
 
     weights: np.ndarray
@@ -76,10 +87,10 @@ class KernelStack:
     def taps(self):
         """Nonzero weights as (co, ci, i, j, w) with w a Python int."""
         if self._taps is None:
-            idx = np.argwhere(self.weights != 0)
+            idx = np.argwhere(self.weights.transpose(1, 2, 3, 0) != 0)
             self._taps = [
                 (int(co), int(ci), int(i), int(j), int(self.weights[co, ci, i, j]))
-                for co, ci, i, j in idx
+                for ci, i, j, co in idx
             ]
         return self._taps
 
@@ -101,46 +112,56 @@ class KernelStack:
 
 def conv2d(x: np.ndarray, kernels: KernelStack, base: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 convolution with zero padding of width (k-1)/2.  The output
-    has the input's dtype, which must hold every partial sum.  It starts from
-    the bias, or from a copy of ``base`` (out x H x W, the input's dtype) in
-    place of the bias; ``base`` itself is never written."""
+    is a fresh C-contiguous array of the input's dtype: the bias, or ``base``
+    (out x H x W, the input's dtype) in place of the bias, plus every tap.
+    Neither ``x`` nor ``base`` is written.  Integer sums wrap modulo the
+    dtype's range, so the result is exact whenever the final value fits."""
     C, H, W = x.shape
     if C != kernels.in_channels:
         raise TensorError(f"input has {C} channels, kernels expect {kernels.in_channels}")
-    pad = (kernels.k - 1) // 2
-    xp = np.zeros((C, H + 2 * pad, W + 2 * pad), x.dtype)
-    xp[:, pad : pad + H, pad : pad + W] = x
-    if base is None:
-        out = np.empty((kernels.out_channels, H, W), x.dtype)
-        out[...] = kernels.bias.astype(x.dtype)[:, None, None]
-    elif base.shape != (kernels.out_channels, H, W) or base.dtype != x.dtype:
+    if base is not None and (base.shape != (kernels.out_channels, H, W) or base.dtype != x.dtype):
         raise TensorError(
             f"base is {base.dtype} {base.shape}, expected {x.dtype} "
             f"{(kernels.out_channels, H, W)}"
         )
-    else:
-        out = base.copy()
-    # accumulate into a view of the output channel: unit weights then add in
-    # place, and only other weights need a product temporary
+    pad = (kernels.k - 1) // 2
+    Wp = W + 2 * pad
+    n = H * Wp
+    # one spare row past the bottom border holds the 2 * pad cells that end
+    # the last tap's slice
+    padded = np.zeros((C, H + 2 * pad + 1, Wp), x.dtype)
+    padded[:, pad : pad + H, pad : pad + W] = x
+    flat = padded.reshape(C, -1)
+    wide = np.zeros((kernels.out_channels, n), x.dtype)
+    at, view = None, None
     for co, ci, i, j, w in kernels.taps():
-        acc, view = out[co], xp[ci, i : i + H, j : j + W]
+        if at != (ci, i, j):
+            at, o = (ci, i, j), i * Wp + j
+            view = flat[ci, o : o + n]
+        acc = wide[co]
         if w == 1:
-            acc += view
+            np.add(acc, view, out=acc)
         elif w == -1:
-            acc -= view
+            np.subtract(acc, view, out=acc)
         else:
-            acc += w * view
-    return out
+            np.add(acc, np.multiply(view, w), out=acc)
+    out = wide.reshape(-1, H, Wp)[:, :, :W]
+    return out + (kernels.bias.astype(x.dtype)[:, None, None] if base is None else base)
 
 
-def step(x: np.ndarray) -> np.ndarray:
-    """1 where x > 0, else 0 (strict; an exactly-zero pre-activation means
-    "no flooded neighbour" and must not fire)."""
-    return (x > 0).astype(x.dtype)
+def step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 where x > 0, else 0, in x's dtype (strict; an exactly-zero
+    pre-activation means "no flooded neighbour" and must not fire).  Written
+    into ``out``, which may be ``x`` itself, when given."""
+    if out is None:
+        return (x > 0).astype(x.dtype)
+    return np.greater(x, 0, out=out)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), written into ``out``, which may be ``x`` itself, when
+    given."""
+    return np.maximum(x, 0, out=out)
 
 
 def sawtooth(x: np.ndarray, a: int) -> np.ndarray:

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca.dfs import (
+    BLOCK,
     PEBBLE,
     ROUTE,
     STACK,
+    STACK_DIR,
+    STACK_RANK,
     build_dfs_weights,
     dfs_step,
     initial_state,
@@ -143,6 +146,48 @@ def test_active_box_steps_match_whole_grid_steps():
             assert state.hidden.dtype == expected.hidden.dtype
             assert np.array_equal(state.hidden, expected.hidden), (i, state.step)
             assert np.array_equal(state.popped, expected.popped), (i, state.step)
+
+
+def assert_records_match_planes(state):
+    """The pebble and the stacked tiles with their pop keys, as the state
+    records them, are what its planes hold."""
+    hidden = state.hidden
+    pebbles = [tuple(int(v) for v in p) for p in np.argwhere(hidden[PEBBLE])]
+    assert state.pebble == (pebbles[0] if pebbles else None)
+    tiles = np.flatnonzero(hidden[STACK])
+    order = np.argsort(state.stacked[0])
+    assert np.array_equal(state.stacked[0][order], tiles)
+    rank, code = hidden[STACK_RANK].ravel()[tiles], hidden[STACK_DIR].ravel()[tiles]
+    assert np.array_equal(state.stacked[1][order], 5 * (rank.astype(np.int64) - state.step) + code)
+
+
+@pytest.mark.parametrize("shape, p, seed", [((3, 2 * BLOCK + 9), 0.2, 1),
+                                            ((2 * BLOCK + 9, 3), 0.2, 2),
+                                            ((BLOCK + 5, BLOCK + 3), 0.45, 3)])
+def test_steps_across_block_boundaries_match_whole_grid_steps(shape, p, seed):
+    # grids of more than one block: each state's planes and records against
+    # a whole-grid step of its predecessor, as in the active-box test
+    rng = np.random.default_rng(seed)
+    maze = Maze(walls=rng.random(shape) < p)
+    seen, largest = np.zeros(shape, dtype=bool), None
+    for q in np.argwhere(~maze.walls):
+        if not seen[tuple(q)]:
+            component = distance_map(maze, tuple(int(v) for v in q)) >= 0
+            seen |= component
+            if largest is None or component.sum() > largest.sum():
+                largest = component
+    start = tuple(int(v) for v in np.argwhere(largest)[0])
+    states = []
+    trace = run_dfs(maze, start, observe=states.append)
+    assert trace.visit_order == dfs_order(maze, start)
+    assert len(trace.visit_order) > BLOCK
+    whole = ((0, maze.height), (0, maze.width))
+    for prev, state in zip([initial_state(maze, start, 2 * int((~maze.walls).sum()))] + states,
+                           states):
+        assert_records_match_planes(state)
+        expected = dfs_step(replace(prev, active=whole))
+        assert np.array_equal(state.hidden, expected.hidden), state.step
+        assert state.popped == expected.popped
 
 
 @settings(max_examples=15, deadline=None)

@@ -70,6 +70,33 @@ def test_conv2d_integer_input_keeps_dtype_and_matches_float(seed, k, dtype):
     np.testing.assert_array_equal(out, conv2d(x.astype(np.float64), ks))
 
 
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.float64])
+def test_conv2d_matches_naive_reference_across_shapes(k, dtype):
+    # every H, W in 1..7: single rows and columns and widths below the
+    # kernel size, where the flat layout's wrap-around cells sit next to
+    # every output cell.  Values stay within int8, so each sum is exact.
+    rng = np.random.default_rng([k, np.dtype(dtype).num])
+    for H in range(1, 8):
+        for W in range(1, 8):
+            x = rng.integers(-1, 2, size=(2, H, W)).astype(dtype)
+            ks = KernelStack(
+                weights=rng.integers(-2, 3, size=(3, 2, k, k)).astype(np.float64),
+                bias=rng.integers(-2, 3, size=3).astype(np.float64),
+            )
+            base = rng.integers(-5, 6, size=(3, H, W)).astype(dtype)
+            x_kept, base_kept = x.copy(), base.copy()
+            expect = naive_conv2d(x, ks)
+            for b, want in ((None, expect), (base, expect - ks.bias[:, None, None] + base)):
+                out = conv2d(x, ks, b)
+                assert out.dtype == dtype and out.shape == (3, H, W)
+                assert out.flags.c_contiguous
+                assert not np.shares_memory(out, x) and not np.shares_memory(out, base)
+                np.testing.assert_array_equal(out, want, err_msg=f"{H}x{W} base={b is not None}")
+            np.testing.assert_array_equal(x, x_kept)
+            np.testing.assert_array_equal(base, base_kept)
+
+
 def test_conv2d_integer_input_needs_integer_weights():
     weights = np.zeros((1, 1, 3, 3))
     weights[0, 0, 1, 1] = 0.5
