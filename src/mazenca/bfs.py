@@ -91,8 +91,8 @@ def initial_state(maze_onehot: np.ndarray) -> BfsState:
 
 def bfs_step(state: BfsState) -> BfsState:
     out = conv2d(state.hidden, _weights().split(N_HIDDEN)[0], state.const)
-    out[FLOOD_S] = step(out[FLOOD_S])
-    out[FLOOD_T] = step(out[FLOOD_T])
+    floods = out[FLOOD_S : FLOOD_T + 1]
+    step(floods, out=floods)
     # age is an exact integer accumulation; never negative, so relu is a no-op
     return BfsState(hidden=out, const=state.const, step=state.step + 1)
 
@@ -107,7 +107,7 @@ def flood_horizon(height: int, width: int) -> int:
 
 def floods_met(state: BfsState) -> bool:
     """The two floods overlap somewhere."""
-    return bool(np.any(state.hidden[FLOOD_S] & state.hidden[FLOOD_T]))
+    return bool((state.hidden[FLOOD_S] & state.hidden[FLOOD_T]).any())
 
 
 def flood_fixpoint(prev: BfsState, state: BfsState, copies: int = 1) -> np.ndarray:

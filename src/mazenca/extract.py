@@ -79,19 +79,19 @@ def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
 
 def extract_step(state: ExtractState) -> ExtractState:
     out = conv2d(state.hidden, _weights().split(N_HIDDEN)[0], state.const)
-    for ch in DIR_CHANNELS:
-        out[ch] = sawtooth(out[ch], -1)
+    dirs, path = out[DIR_CHANNELS[0] : DIR_CHANNELS[-1] + 1], out[PATH]
+    sawtooth(dirs, -1, out=dirs)
     # The path combines the overlap seed with the directional acceptances so
     # seeds survive the first step (a bare sum of directions would erase a
     # single-tile meet).
-    seed = step(out[PATH])  # = step(flood_s + flood_t - 1)
-    out[PATH] = step(seed + sum(out[ch] for ch in DIR_CHANNELS))
+    step(path, out=path)  # the seed, step(flood_s + flood_t - 1)
+    step(out.sum(axis=0, dtype=out.dtype), out=path)  # step(seed + sum of dirs)
     return ExtractState(hidden=out, const=state.const, step=state.step + 1)
 
 
 def path_fixpoint(prev: ExtractState, state: ExtractState) -> bool:
     """Halting rule: the path channel stopped changing."""
-    return np.array_equal(state.hidden[PATH], prev.hidden[PATH])
+    return bool((state.hidden[PATH] == prev.hidden[PATH]).all())
 
 
 def run_extract(

@@ -15,13 +15,22 @@ convolves only the hidden channels, starting from that plane.
 
 ``conv2d`` is bound by numpy's per-call cost, not by arithmetic, at the
 sizes the automata run: a step's conv is a few dozen array operations on a
-few hundred to a few thousand cells.  So it makes each tap one contiguous
-1-D operation.  The input is copied into a zero-bordered buffer with one
-flat row per channel and row stride ``Wp = W + 2 * pad``; output cell
-``(r, c)`` sits at flat index ``r * Wp + c``, and tap ``(i, j)`` reads the
-slice that starts ``i * Wp + j`` later.  Each flat output row then carries
-``2 * pad`` wrap-around cells, which read across the border and are dropped
-at the end.
+few hundred to a few thousand cells.  So it makes each run of taps one
+contiguous 1-D operation.  The input is copied into a zero-bordered buffer
+with row stride ``Wp = W + 2 * pad`` and channel stride
+``L = (H + 2 * pad + 1) * Wp``, and the accumulator has the same layout;
+output cell ``(r, c)`` of channel ``co`` sits at flat index
+``co * L + r * Wp + c``, and tap ``(i, j)`` from input channel ``ci`` reads
+the slice that starts at ``ci * L + i * Wp + j``.  Each flat output row
+carries ``2 * pad`` wrap-around cells, which read across the border and are
+dropped at the end.  Because every channel has the same stride, taps with
+the same kernel cell and weight from input channels ``ci, ci + 1, ...`` to
+output channels ``co, co + 1, ...`` form a run (``KernelStack.runs``) that
+is one add spanning all its channels; the cells between two channels land
+in the accumulator's discarded tail rows.
+
+The activations take ``out=`` so a step applies each one once, in place, to
+a slice of consecutive channels of the conv output.
 """
 
 from __future__ import annotations
@@ -35,6 +44,12 @@ from .grid import MazeError
 
 class TensorError(ValueError):
     pass
+
+
+# input shapes whose conv plans a KernelStack keeps.  The DFS crops about
+# 170 shapes over the benchmark's five mazes of 16^2 to 64^2, and a plan of
+# its 26 runs takes about 7 KB.
+PLANS = 256
 
 
 def int_dtype(bound: int) -> np.dtype:
@@ -51,14 +66,16 @@ class KernelStack:
     both integer-valued.
 
     ``taps`` caches the nonzero entries in a fixed order (input channel,
-    then kernel row, then kernel column, then output channel), so taps that
-    read the same input cells are adjacent and convolution uses one
-    deterministic summation order.
+    then kernel row, then kernel column, then output channel).  ``runs``
+    caches them merged into channel runs, and ``plan`` lays the runs out for
+    one input shape; ``conv2d`` adds them in that one fixed order.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     _taps: list | None = field(default=None, repr=False, compare=False)
+    _runs: list | None = field(default=None, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
     _splits: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,6 +111,46 @@ class KernelStack:
             ]
         return self._taps
 
+    def runs(self):
+        """The taps merged into channel runs, as (co, ci, m, i, j, w): weight
+        w at kernel cell (i, j) from input channels ci .. ci + m - 1 to output
+        channels co .. co + m - 1, each run as long as the taps allow.  Runs
+        that read the same input cells are adjacent."""
+        if self._runs is None:
+            runs = []
+            # taps of one (i, j, w, co - ci) in ascending ci: a tap one
+            # channel past the end of the last run extends it
+            for co, ci, i, j, w in sorted(self.taps(), key=lambda t: (*t[2:], t[0] - t[1], t[1])):
+                if runs:
+                    co0, ci0, m, *cell = runs[-1]
+                    if cell == [i, j, w] and (co0 + m, ci0 + m) == (co, ci):
+                        runs[-1] = (co0, ci0, m + 1, i, j, w)
+                        continue
+                runs.append((co, ci, 1, i, j, w))
+            self._runs = sorted(runs, key=lambda r: (r[1], r[2], r[3], r[4], r[0]))
+        return self._runs
+
+    def plan(self, H: int, W: int) -> list:
+        """``runs`` laid out for an H x W input in ``conv2d``'s flat layout,
+        as (input slice, accumulator slice, w); the input slice is None where
+        a run reads the same cells as the run before it.  The last PLANS
+        plans made are cached."""
+        plan = self._plans.get((H, W))
+        if plan is None:
+            pad = (self.k - 1) // 2
+            Wp = W + 2 * pad
+            L, n = (H + 2 * pad + 1) * Wp, H * Wp
+            plan, at = [], None
+            for co, ci, m, i, j, w in self.runs():
+                span, start = (m - 1) * L + n, ci * L + i * Wp + j
+                src = None if at == (ci, m, i, j) else slice(start, start + span)
+                at = (ci, m, i, j)
+                plan.append((src, slice(co * L, co * L + span), w))
+            if len(self._plans) == PLANS:
+                del self._plans[next(iter(self._plans))]
+            self._plans[H, W] = plan
+        return plan
+
     def split(self, n: int) -> tuple[KernelStack, KernelStack]:
         """(dynamic, static) stacks at input channel ``n``: the first ``n``
         input channels with zero bias, and the remaining ones carrying the
@@ -126,26 +183,25 @@ def conv2d(x: np.ndarray, kernels: KernelStack, base: np.ndarray | None = None) 
         )
     pad = (kernels.k - 1) // 2
     Wp = W + 2 * pad
-    n = H * Wp
     # one spare row past the bottom border holds the 2 * pad cells that end
-    # the last tap's slice
-    padded = np.zeros((C, H + 2 * pad + 1, Wp), x.dtype)
+    # the last tap's slice; the accumulator's channels share the stride
+    rows = H + 2 * pad + 1
+    padded = np.zeros((C, rows, Wp), x.dtype)
     padded[:, pad : pad + H, pad : pad + W] = x
-    flat = padded.reshape(C, -1)
-    wide = np.zeros((kernels.out_channels, n), x.dtype)
-    at, view = None, None
-    for co, ci, i, j, w in kernels.taps():
-        if at != (ci, i, j):
-            at, o = (ci, i, j), i * Wp + j
-            view = flat[ci, o : o + n]
-        acc = wide[co]
+    flat = padded.reshape(-1)
+    wide = np.zeros(kernels.out_channels * rows * Wp, x.dtype)
+    view = None
+    for src, at, w in kernels.plan(H, W):
+        if src is not None:
+            view = flat[src]
+        acc = wide[at]
         if w == 1:
             np.add(acc, view, out=acc)
         elif w == -1:
             np.subtract(acc, view, out=acc)
         else:
             np.add(acc, np.multiply(view, w), out=acc)
-    out = wide.reshape(-1, H, Wp)[:, :, :W]
+    out = wide.reshape(-1, rows, Wp)[:, :H, :W]
     return out + (kernels.bias.astype(x.dtype)[:, None, None] if base is None else base)
 
 
@@ -164,10 +220,15 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0, out=out)
 
 
-def sawtooth(x: np.ndarray, a: int) -> np.ndarray:
-    """Triangular bump max(0, 1 - |x - a|): on integer inputs, the indicator
-    of x == a."""
-    return np.maximum(0, 1 - np.abs(x - a))
+def sawtooth(x: np.ndarray, a: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Triangular bump max(0, 1 - |x - a|) in x's dtype, written into
+    ``out``, which may be ``x`` itself, when given.  On integer inputs the
+    bump is the indicator of x == a, and is computed as that."""
+    if x.dtype.kind == "f":
+        return np.maximum(0, 1 - np.abs(x - a), out=out)
+    if out is None:
+        return (x == a).astype(x.dtype)
+    return np.equal(x, a, out=out)
 
 
 # elementary 3x3 weight matrices

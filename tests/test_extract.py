@@ -6,9 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca.bfs import run_bfs
-from mazenca.extract import build_extract_weights, run_extract
+from mazenca.extract import (
+    DIR_CHANNELS,
+    PATH,
+    ExtractState,
+    build_extract_weights,
+    extract_step,
+    run_extract,
+)
+from mazenca.extract import initial_state as extract_initial_state
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import Unreachable, shortest_path_union
+from mazenca.tensor import conv2d
 from sweep import sweep_mazes
 
 
@@ -64,6 +73,27 @@ def test_off_path_detour_excluded():
     mask = extract_mask(maze)
     assert not mask[0].any()
     assert mask[1].all()
+
+
+def test_step_matches_the_papers_per_channel_formula():
+    # The step applies its activations in place to channel slices and sums
+    # the channels in the state dtype.  Written out per channel, the paper's
+    # form is: a sawtooth at -1 on each direction's pre-activation, the seed
+    # step(flood_s + flood_t - 1), and the path step(seed + sum of dirs).
+    ks = build_extract_weights()
+    for seed in range(20):
+        maze = generate_maze(GenConfig(width=6 + seed % 7, height=5 + seed % 5, seed=seed))
+        frozen = run_bfs(maze).final.hidden
+        const = extract_initial_state(frozen).const
+        rng = np.random.default_rng(seed)
+        hidden = rng.integers(-2, 3, size=(5, *frozen.shape[1:])).astype(frozen.dtype)
+        pre = conv2d(np.concatenate([hidden, frozen]).astype(np.int64), ks)
+        dirs = [np.maximum(0, 1 - np.abs(pre[ch] + 1)) for ch in DIR_CHANNELS]
+        seed_plane = (pre[PATH] > 0).astype(np.int64)
+        path = (seed_plane + sum(dirs) > 0).astype(np.int64)
+        out = extract_step(ExtractState(hidden=hidden, const=const, step=3))
+        assert out.step == 4 and out.hidden.dtype == frozen.dtype
+        np.testing.assert_array_equal(out.hidden, np.stack([path, *dirs]))
 
 
 def test_steps_used_is_reported():

@@ -70,31 +70,59 @@ def test_conv2d_integer_input_keeps_dtype_and_matches_float(seed, k, dtype):
     np.testing.assert_array_equal(out, conv2d(x.astype(np.float64), ks))
 
 
+def run_stack(k, rng):
+    """4 in x 4 out weights whose taps merge into long channel runs: kernel
+    ``a`` on the channel diagonal (runs of 4), kernel ``b`` from each
+    channel to the one before it (runs of 3), both with weights outside
+    +-1, and single taps at the same kernel cells next to them."""
+    c = k // 2
+    a, b = np.zeros((k, k)), np.zeros((k, k))
+    a[0, 0], a[c, c], a[k - 1, c] = 2, -3, 3
+    b[c, 0], b[c, c] = -2, 2
+    w = np.zeros((4, 4, k, k))
+    for ch in range(4):
+        w[ch, ch] = a
+    for ch in range(3):
+        w[ch, ch + 1] = b
+    w[3, 0] = a
+    w[0, 2] = b
+    w[2, 0, c, c] = 1
+    ks = KernelStack(weights=w, bias=rng.integers(-2, 3, size=4).astype(np.float64))
+    assert sorted(m for _, _, m, *_ in ks.runs()) == [1] * 6 + [3] * 2 + [4] * 3
+    return ks
+
+
 @pytest.mark.parametrize("k", [3, 5])
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.float64])
 def test_conv2d_matches_naive_reference_across_shapes(k, dtype):
     # every H, W in 1..7: single rows and columns and widths below the
     # kernel size, where the flat layout's wrap-around cells sit next to
-    # every output cell.  Values stay within int8, so each sum is exact.
+    # every output cell.  Random 2-in/3-out stacks make channel runs of at
+    # most 2; ``run_stack`` adds runs of 3 and 4.  Values stay within int8,
+    # so each sum is exact.
     rng = np.random.default_rng([k, np.dtype(dtype).num])
     for H in range(1, 8):
         for W in range(1, 8):
-            x = rng.integers(-1, 2, size=(2, H, W)).astype(dtype)
-            ks = KernelStack(
+            random_stack = KernelStack(
                 weights=rng.integers(-2, 3, size=(3, 2, k, k)).astype(np.float64),
                 bias=rng.integers(-2, 3, size=3).astype(np.float64),
             )
-            base = rng.integers(-5, 6, size=(3, H, W)).astype(dtype)
-            x_kept, base_kept = x.copy(), base.copy()
-            expect = naive_conv2d(x, ks)
-            for b, want in ((None, expect), (base, expect - ks.bias[:, None, None] + base)):
-                out = conv2d(x, ks, b)
-                assert out.dtype == dtype and out.shape == (3, H, W)
-                assert out.flags.c_contiguous
-                assert not np.shares_memory(out, x) and not np.shares_memory(out, base)
-                np.testing.assert_array_equal(out, want, err_msg=f"{H}x{W} base={b is not None}")
-            np.testing.assert_array_equal(x, x_kept)
-            np.testing.assert_array_equal(base, base_kept)
+            for ks in (random_stack, run_stack(k, rng)):
+                C_in, C_out = ks.in_channels, ks.out_channels
+                x = rng.integers(-1, 2, size=(C_in, H, W)).astype(dtype)
+                base = rng.integers(-5, 6, size=(C_out, H, W)).astype(dtype)
+                x_kept, base_kept = x.copy(), base.copy()
+                expect = naive_conv2d(x, ks)
+                for b, want in ((None, expect), (base, expect - ks.bias[:, None, None] + base)):
+                    out = conv2d(x, ks, b)
+                    assert out.dtype == dtype and out.shape == (C_out, H, W)
+                    assert out.flags.c_contiguous
+                    assert not np.shares_memory(out, x) and not np.shares_memory(out, base)
+                    np.testing.assert_array_equal(
+                        out, want, err_msg=f"{C_in}->{C_out} {H}x{W} base={b is not None}"
+                    )
+                np.testing.assert_array_equal(x, x_kept)
+                np.testing.assert_array_equal(base, base_kept)
 
 
 def test_conv2d_integer_input_needs_integer_weights():
@@ -184,11 +212,22 @@ def test_sawtooth_is_integer_indicator(x, a):
     assert sawtooth(np.array(float(x)), a) == (1.0 if x == a else 0.0)
     out = sawtooth(np.array([x], dtype=np.int16), a)
     assert out.dtype == np.int16 and out[0] == (1 if x == a else 0)
+    # written in place into a slice of channels, as the extraction step does
+    for dtype in (np.int8, np.int16):
+        planes = np.array([[x, a, 9], [a, x, x], [x + 1, a - 1, a]], dtype=dtype)
+        kept, want = planes[0].copy(), (planes[1:] == a).astype(dtype)
+        dirs = planes[1:]
+        assert sawtooth(dirs, a, out=dirs) is dirs
+        np.testing.assert_array_equal(planes[1:], want)
+        np.testing.assert_array_equal(planes[0], kept)
 
 
 def test_sawtooth_triangular_between_integers():
     assert sawtooth(np.array(1.6), 2) == pytest.approx(0.6)
     assert sawtooth(np.array(2.4), 2) == pytest.approx(0.6)
+    x = np.array([1.6, 2.4, 2.0, 5.0])
+    sawtooth(x, 2, out=x)
+    np.testing.assert_allclose(x, [0.6, 0.6, 1.0, 0.0])
 
 
 def test_int_dtype_covers_each_automaton_bound():
