@@ -3,8 +3,9 @@
 Deterministic convolutional automata that realize classical graph algorithms
 on grid mazes -- bidirectional flood (Dijkstra map), shortest-path
 extraction, priority depth-first search with a neural stack, and a
-diameter computation that floods from every tile at once -- plus oracles,
-dataset tooling, and an adversarial dataset-evolution loop.
+diameter computation that floods from many tiles at once, pruned by
+eccentricity bounds -- plus oracles, dataset tooling, and an adversarial
+dataset-evolution loop.
 """
 
 from .bfs import BfsResult, BfsState, run_bfs

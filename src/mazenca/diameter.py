@@ -1,4 +1,4 @@
-"""Diameter from one flood run over a canvas of maze copies.
+"""Diameter from bounded single-source floods over a canvas of maze copies.
 
 A single-source flood from tile u, run to its fixpoint, leaves age
 eccentricity(u) + 1 at u itself (the longest shortest path ending at u, in
@@ -14,6 +14,18 @@ run.  A copy whose flood stopped changing has reached its fixpoint
 the copy leaves the canvas, so later steps pay only for live floods.  The
 canvas's constant plane is built once; a leaving copy's rows are dropped
 from it, which is exact because every static flood tap is a centre tap.
+
+Only the tiles that could still hold the diameter flood, as in Takes and
+Kosters' BoundingDiameters (CIKM 2011).  A settled flood from u gives the
+distance d(u, v) = AGE(u) - AGE(v) to every tile v it reached, and so the
+upper bound ecc(v) <= ecc(u) + d(u, v).  The first round floods every
+corner tile, an empty tile with a wall or the border above it and to its
+left; the row-major first tile of each component is one, so every tile has
+a bound after it.  Each later round floods the unflooded tiles whose bound
+beats the best eccentricity found, or ties it from an earlier tile in
+row-major order, until none is left.  The endpoints and the witness are
+those of the exhaustive canvas: the first row-major tile of greatest
+eccentricity is always flooded.
 """
 
 from __future__ import annotations
@@ -41,15 +53,17 @@ from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError, one_hot
 # canvas rows x columns per flood run; larger mazes split their tiles over
 # several runs so memory stays near 100 MB
 CANVAS_CELLS = 1 << 20
+# upper bound of a tile no flood has reached yet
+NO_BOUND = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
 class DiameterRun:
-    path_max: np.ndarray  # H x W ages at fixpoint; 0 on walls
     best_endpoint: tuple[int, int]
     farthest: tuple[int, int]
     diameter_len: int  # tiles
     witness: np.ndarray  # bool H x W shortest path(s) between the endpoints
+    floods: int  # single-source floods run
 
 
 def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int], int]]:
@@ -70,11 +84,17 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
-def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-source floods from every tile in ``tiles`` (n x 2, empty
     tiles), all on one canvas, each run to its fixpoint.  Returns the age at
-    each flood's own source (eccentricity + 1) and each flood's farthest
-    tile (n x 2): the flooded tile with the least age, row-major first."""
+    each flood's own source (eccentricity + 1), each flood's farthest tile
+    (n x 2): the flooded tile with the least age, row-major first, and an
+    H x W upper bound on every tile's eccentricity + 1.
+
+    A settled flood from u has AGE(v) = AGE(u) - d(u, v) on every tile v it
+    reached, so ecc(v) + 1 <= ecc(u) + d(u, v) + 1 = 2 AGE(u) - AGE(v).  The
+    bound is the least of these over the floods, NO_BOUND on tiles that none
+    reached."""
     H, W = maze.walls.shape
     dtype = flood_dtype(H, W)
     rows, cols = tiles[:, 0], tiles[:, 1]
@@ -91,6 +111,7 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ages = np.zeros(n, dtype=np.int64)
     far = np.zeros((n, 2), dtype=np.int64)
+    upper = np.full(H * W, NO_BOUND, dtype=np.int64)
     live = np.arange(n)  # canvas copy j floods from tiles[live[j]]
     for _ in range(flood_horizon(H, W)):
         prev, state = state, bfs_step(state)
@@ -104,10 +125,12 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             flooded = hidden[FLOOD_S, copies, :H].reshape(len(copies), -1) > 0
             flat = np.argmin(np.where(flooded, flood_ages, np.iinfo(dtype).max), axis=1)
             far[done] = np.stack(np.divmod(flat, W), axis=1)
+            bound = np.where(flooded, 2 * ages[done, None] - flood_ages, NO_BOUND)
+            np.minimum(upper, bound.min(axis=0), out=upper)
             keep = ~settled
             live = live[keep]
             if not live.size:
-                return ages, far
+                return ages, far, upper.reshape(H, W)
             const = state.const.reshape(N_HIDDEN, m, H + 1, W)[:, keep]
             state = BfsState(
                 hidden=hidden[:, keep].reshape(N_HIDDEN, -1, W),
@@ -119,22 +142,44 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def diameter_nca(maze: Maze) -> DiameterRun:
     H, W = maze.walls.shape
-    tiles = np.argwhere(~maze.walls)
-    if not len(tiles):
+    empty = ~maze.walls
+    if not empty.any():
         raise MazeError("maze has no empty tiles")
 
-    path_max = np.zeros((H, W), dtype=np.int64)
-    farthest = np.zeros((H, W, 2), dtype=np.int64)
-    per_run = max(1, CANVAS_CELLS // ((H + 1) * W))
-    for lo in range(0, len(tiles), per_run):
-        chunk = tiles[lo : lo + per_run]
-        ages, far = source_ages(maze, chunk)
-        path_max[chunk[:, 0], chunk[:, 1]] = ages
-        farthest[chunk[:, 0], chunk[:, 1]] = far
+    # first round: every empty tile with a wall or the border above it and to
+    # its left; the row-major first tile of each component is one of them
+    blocked_up = np.ones((H, W), dtype=bool)
+    blocked_up[1:] = maze.walls[:-1]
+    blocked_left = np.ones((H, W), dtype=bool)
+    blocked_left[:, 1:] = maze.walls[:, :-1]
+    todo = empty & blocked_up & blocked_left
 
-    flat_best = int(np.argmax(path_max))
+    ages = np.zeros((H, W), dtype=np.int64)  # eccentricity + 1 where flooded
+    farthest = np.zeros((H, W, 2), dtype=np.int64)
+    upper = np.full((H, W), NO_BOUND, dtype=np.int64)  # bound on ages
+    row_major = np.arange(H * W).reshape(H, W)
+    per_run = max(1, CANVAS_CELLS // ((H + 1) * W))
+    floods = 0
+    while todo.any():
+        tiles = np.argwhere(todo)
+        for lo in range(0, len(tiles), per_run):
+            chunk = tiles[lo : lo + per_run]
+            chunk_ages, far, bound = source_ages(maze, chunk)
+            ages[chunk[:, 0], chunk[:, 1]] = chunk_ages
+            farthest[chunk[:, 0], chunk[:, 1]] = far
+            np.minimum(upper, bound, out=upper)
+        floods += len(tiles)
+        # the best flooded tile is the first row-major tile of greatest age;
+        # an unflooded tile can still displace it only if its bound beats
+        # that age, or ties it from an earlier tile
+        flat_best = int(np.argmax(ages))
+        best_age = ages.flat[flat_best]
+        todo = empty & (ages == 0) & (
+            (upper > best_age) | ((upper == best_age) & (row_major < flat_best))
+        )
+
     best = (flat_best // W, flat_best % W)
-    diameter_len = int(path_max[best])
+    diameter_len = int(ages[best])
     far = (int(farthest[best][0]), int(farthest[best][1]))
 
     if far == best:
@@ -143,9 +188,9 @@ def diameter_nca(maze: Maze) -> DiameterRun:
     else:
         witness = run_extract(run_bfs(Maze(walls=maze.walls, source=best, target=far))).mask
     return DiameterRun(
-        path_max=path_max,
         best_endpoint=best,
         farthest=far,
         diameter_len=diameter_len,
         witness=witness,
+        floods=floods,
     )

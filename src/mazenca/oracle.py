@@ -115,25 +115,58 @@ def dfs_order(maze: Maze, start: tuple[int, int]) -> list[tuple[int, int]]:
         cur = nxt
 
 
+def framed_open_tiles(maze: Maze) -> tuple[list[bool], int]:
+    """The maze as one flat Python list of open flags, framed by walls: a
+    wall row above and below and a wall column after each row, which is also
+    the wall left of the next row.  Tile (y, x) sits at (y + 1) * stride + x."""
+    H, W = maze.walls.shape
+    stride = W + 1
+    framed = np.zeros((H + 2, stride), dtype=bool)
+    framed[1 : H + 1, :W] = ~maze.walls
+    return framed.ravel().tolist(), stride
+
+
+def flat_distances(open_tiles: list[bool], stride: int, src: int) -> list[int]:
+    """Deque BFS over a framed flat grid: moves from ``src`` to every cell,
+    -1 where unreachable."""
+    dist = [-1] * len(open_tiles)
+    dist[src] = 0
+    q = deque([src])
+    moves = (stride, 1, -stride, -1)
+    while q:
+        i = q.popleft()
+        d = dist[i] + 1
+        for m in moves:
+            j = i + m
+            if open_tiles[j] and dist[j] < 0:
+                dist[j] = d
+                q.append(j)
+    return dist
+
+
 def diameter_oracle(maze: Maze) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
     """Longest shortest path over all components, in tiles (= moves + 1).
 
     Returns (length, (u, v)) with u the first tile (row-major) achieving the
-    maximum eccentricity and v the first tile farthest from u.
+    maximum eccentricity and v the first tile farthest from u.  One full BFS
+    runs from every empty tile.
     """
-    tiles = [(int(p[0]), int(p[1])) for p in np.argwhere(~maze.walls)]
-    if not tiles:
+    open_tiles, stride = framed_open_tiles(maze)
+    if not any(open_tiles):
         raise MazeError("maze has no empty tiles")
     best_len = -1
     best_pair = None
-    for u in tiles:  # argwhere order is row-major
-        dist = distance_map(maze, u)
-        ecc = int(dist.max())
+    for u, is_open in enumerate(open_tiles):  # flat order is row-major
+        if not is_open:
+            continue
+        dist = flat_distances(open_tiles, stride, u)
+        ecc = max(dist)
         if ecc + 1 > best_len:
-            far = tuple(np.unravel_index(int(np.argmax(dist)), dist.shape))
+            far = dist.index(ecc)
             best_len = ecc + 1
-            best_pair = (u, (int(far[0]), int(far[1])))
-    return best_len, best_pair
+            best_pair = (divmod(u, stride), divmod(far, stride))
+    (uy, ux), (vy, vx) = best_pair
+    return best_len, ((uy - 1, ux), (vy - 1, vx))
 
 
 def normalized_accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca import diameter
-from mazenca.bfs import N_HIDDEN, build_bfs_weights
+from mazenca.bfs import N_HIDDEN, build_bfs_weights, run_bfs
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
     diameter_nca,
     schedule_dijkstra_calls,
     source_ages,
 )
+from mazenca.extract import run_extract
 from mazenca.grid import GenConfig, Maze, generate_maze, parse_maze
 from mazenca.oracle import diameter_oracle, distance_map, shortest_path_union
+from mazenca.verify import seeded_maze
 from sweep import sweep_mazes
 
 
@@ -48,12 +50,18 @@ def test_singleton_component():
 
 def test_componentwise_restarts():
     # two components; the right one is longer and wins
-    run = diameter_nca(walls_only(".#..."))
+    maze = walls_only(".#...")
+    run = diameter_nca(maze)
     assert run.diameter_len == 3
     assert run.best_endpoint == (0, 2)
-    # path_max is populated for every empty tile across both components
-    assert run.path_max[0, 0] == 1
-    assert (run.path_max[0, 2:] > 0).all()
+    assert diameter_oracle(maze) == (run.diameter_len, (run.best_endpoint, run.farthest))
+    # the first round floods each component's first tile; (0, 3) and (0, 4)
+    # get bounds 4 and 5 above the best age 3 and flood in the second round
+    assert run.floods == 4
+    # source_ages covers every empty tile across both components
+    tiles = np.argwhere(~maze.walls)
+    ages, _, _ = source_ages(maze, tiles)
+    assert ages.tolist() == oracle_path_max(maze)[~maze.walls].tolist() == [1, 3, 2, 3]
 
 
 def test_schedule_waits_match_visit_gaps():
@@ -72,26 +80,96 @@ def test_schedule_waits_match_visit_gaps():
 
 def test_path_max_is_eccentricity_plus_one():
     maze = walls_only("...\n#..")
-    run = diameter_nca(maze)
-    for y, x in np.argwhere(~maze.walls):
+    tiles = np.argwhere(~maze.walls)
+    ages, _, _ = source_ages(maze, tiles)
+    for (y, x), age in zip(tiles, ages):
         ecc = int(distance_map(maze, (int(y), int(x))).max())
-        assert run.path_max[y, x] == ecc + 1
+        assert age == ecc + 1
 
 
 def test_path_max_matches_oracle_across_shapes_and_densities():
-    # diameter_nca's path_max and endpoints come from source_ages over all
-    # empty tiles; calling source_ages directly skips the witness runs.  Each
+    # diameter_nca's ages, endpoints and bounds come from source_ages; here
+    # every empty tile is a source, and no witness run is made.  Each
     # source's age is its eccentricity + 1, and its farthest tile is the
-    # first row-major tile at the greatest distance from it.
+    # first row-major tile at the greatest distance from it.  With every tile
+    # a source, each tile's bound comes down to its own age.
     mazes = sweep_mazes(1000, 12, seed=31)
     assert len(mazes) >= 1000
     for maze in mazes:
         tiles = np.argwhere(~maze.walls)
-        ages, far = source_ages(maze, tiles)
+        ages, far, upper = source_ages(maze, tiles)
         dists = [distance_map(maze, (int(y), int(x))) for y, x in tiles]
         assert ages.tolist() == [int(d.max()) + 1 for d in dists], str(maze.walls)
         assert far.tolist() == [list(divmod(int(np.argmax(d)), maze.width)) for d in dists], \
             str(maze.walls)
+        assert upper[~maze.walls].tolist() == ages.tolist(), str(maze.walls)
+        assert (upper[maze.walls] == diameter.NO_BOUND).all()
+
+
+def exhaustive_diameter(maze):
+    """Reference: a flood from every empty tile, the first row-major tile of
+    greatest age, its flood's farthest tile and the witness between them."""
+    tiles = np.argwhere(~maze.walls)
+    ages, far, _ = source_ages(maze, tiles)
+    k = int(np.argmax(ages))
+    best = (int(tiles[k][0]), int(tiles[k][1]))
+    farthest = (int(far[k][0]), int(far[k][1]))
+    if best == farthest:
+        witness = np.zeros(maze.walls.shape, dtype=bool)
+        witness[best] = True
+    else:
+        witness = run_extract(run_bfs(Maze(walls=maze.walls, source=best, target=farthest))).mask
+    return int(ages[k]), best, farthest, witness
+
+
+def test_bounded_floods_match_exhaustive_canvas():
+    open_grids = [Maze(walls=np.zeros((h, w), dtype=bool)) for h in range(1, 9) for w in range(1, 9)]
+    mazes = sweep_mazes(1000, 12, seed=53) + open_grids
+    for maze in mazes:
+        run = diameter_nca(maze)
+        length, best, far, witness = exhaustive_diameter(maze)
+        assert (run.diameter_len, run.best_endpoint, run.farthest) == (length, best, far), \
+            str(maze.walls)
+        np.testing.assert_array_equal(run.witness, witness)
+        assert 1 <= run.floods <= np.count_nonzero(~maze.walls)
+
+
+def test_later_component_tying_the_diameter_does_not_win():
+    # both components span 3 tiles.  The first round floods the corners
+    # (0, 0) (age 2) and (0, 3) (age 3), so (0, 3) leads.  (0, 1) ties it
+    # with bound 2 * 2 - 1 = 3 and comes earlier, so it floods and wins;
+    # (1, 0) ties it too but comes later, so it never floods.
+    maze = walls_only("..#.\n.#..")
+    run = diameter_nca(maze)
+    assert (run.diameter_len, run.best_endpoint, run.farthest) == (3, (0, 1), (1, 0))
+    assert (3, ((0, 1), (1, 0))) == diameter_oracle(maze)
+    assert run.floods == 5
+
+
+def test_verify_mazes_flood_fewer_tiles_than_they_have():
+    floods = tiles = 0
+    for index in range(32):
+        maze = seeded_maze("diameter", 16, 16, 1234, index)
+        run = diameter_nca(maze)
+        empty = np.count_nonzero(~maze.walls)
+        assert run.floods < empty
+        floods += run.floods
+        tiles += empty
+    assert floods < tiles / 2
+
+
+def test_diameter_at_64_matches_oracle():
+    maze = generate_maze(
+        GenConfig(width=64, height=64, task="diameter", wall_probability=0.3, seed=0)
+    )
+    run = diameter_nca(maze)
+    length, endpoints = diameter_oracle(maze)
+    assert (run.diameter_len, (run.best_endpoint, run.farthest)) == (length, endpoints)
+    pair = Maze(walls=maze.walls, source=run.best_endpoint, target=run.farthest)
+    d, union = shortest_path_union(pair)
+    assert d + 1 == length
+    np.testing.assert_array_equal(run.witness, union)
+    assert run.floods < np.count_nonzero(~maze.walls)
 
 
 @pytest.mark.parametrize("cells", [diameter.CANVAS_CELLS, 40])
@@ -101,7 +179,13 @@ def test_gutter_isolates_copies_on_open_grid(monkeypatch, cells):
     # force one copy per canvas run
     monkeypatch.setattr(diameter, "CANVAS_CELLS", cells)
     maze = Maze(walls=np.zeros((6, 9), dtype=bool))
-    np.testing.assert_array_equal(diameter_nca(maze).path_max, oracle_path_max(maze))
+    run = diameter_nca(maze)
+    assert diameter_oracle(maze) == (run.diameter_len, (run.best_endpoint, run.farthest))
+    # (0, 0) is the only corner, and every other tile's bound 14 + d beats
+    # its age 14, so the second round floods them all
+    assert run.floods == maze.walls.size
+    ages, _, _ = source_ages(maze, np.argwhere(~maze.walls))
+    np.testing.assert_array_equal(ages.reshape(maze.walls.shape), oracle_path_max(maze))
 
 
 def test_static_flood_taps_are_centre_taps():
@@ -124,7 +208,7 @@ def test_canvas_builds_its_constant_plane_once(monkeypatch):
     monkeypatch.setattr(diameter, "flood_plane", counting)
     maze = walls_only("....\n.#..\n....")
     tiles = np.argwhere(~maze.walls)
-    ages, _ = source_ages(maze, tiles)
+    ages, _, _ = source_ages(maze, tiles)
     # floods from different tiles settle at different steps, so the canvas
     # compacts several times
     assert len(set(ages.tolist())) > 1

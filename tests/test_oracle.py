@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazenca import oracle
 from mazenca.grid import GenConfig, Maze, generate_maze, parse_maze
 from mazenca.oracle import (
     Unreachable,
@@ -117,6 +118,29 @@ def test_diameter_spans_components():
 def test_diameter_singleton():
     maze = parse_maze(".#")
     assert diameter_oracle(maze) == (1, ((0, 0), (0, 0)))
+
+
+def test_diameter_oracle_runs_one_full_bfs_per_empty_tile(monkeypatch):
+    # the oracle must not share the eccentricity pruning it checks: every
+    # empty tile gets its own unpruned BFS, which matches distance_map
+    maze = generate_maze(GenConfig(width=9, height=7, task="diameter", seed=3))
+    sources = []
+    original = oracle.flat_distances
+
+    def counting(open_tiles, stride, src):
+        dist = original(open_tiles, stride, src)
+        sources.append(src)
+        y, x = divmod(src, stride)
+        framed = np.full((maze.height + 2, stride), -1)
+        framed[1:-1, :-1] = distance_map(maze, (y - 1, x))
+        assert dist == framed.ravel().tolist()
+        return dist
+
+    monkeypatch.setattr(oracle, "flat_distances", counting)
+    diameter_oracle(maze)
+    stride = maze.width + 1
+    tiles = [(y + 1) * stride + x for y, x in np.argwhere(~maze.walls)]
+    assert sources == tiles
 
 
 def test_normalized_accuracy_anchors():
