@@ -148,11 +148,8 @@ def diameter_nca(maze: Maze) -> DiameterRun:
 
     # first round: every empty tile with a wall or the border above it and to
     # its left; the row-major first tile of each component is one of them
-    blocked_up = np.ones((H, W), dtype=bool)
-    blocked_up[1:] = maze.walls[:-1]
-    blocked_left = np.ones((H, W), dtype=bool)
-    blocked_left[:, 1:] = maze.walls[:, :-1]
-    todo = empty & blocked_up & blocked_left
+    framed = np.pad(maze.walls, ((1, 0), (1, 0)), constant_values=True)
+    todo = empty & framed[:-1, 1:] & framed[1:, :-1]
 
     ages = np.zeros((H, W), dtype=np.int64)  # eccentricity + 1 where flooded
     farthest = np.zeros((H, W, 2), dtype=np.int64)

@@ -115,17 +115,6 @@ def dfs_order(maze: Maze, start: tuple[int, int]) -> list[tuple[int, int]]:
         cur = nxt
 
 
-def framed_open_tiles(maze: Maze) -> tuple[list[bool], int]:
-    """The maze as one flat Python list of open flags, framed by walls: a
-    wall row above and below and a wall column after each row, which is also
-    the wall left of the next row.  Tile (y, x) sits at (y + 1) * stride + x."""
-    H, W = maze.walls.shape
-    stride = W + 1
-    framed = np.zeros((H + 2, stride), dtype=bool)
-    framed[1 : H + 1, :W] = ~maze.walls
-    return framed.ravel().tolist(), stride
-
-
 def flat_distances(open_tiles: list[bool], stride: int, src: int) -> list[int]:
     """Deque BFS over a framed flat grid: moves from ``src`` to every cell,
     -1 where unreachable."""
@@ -151,7 +140,13 @@ def diameter_oracle(maze: Maze) -> tuple[int, tuple[tuple[int, int], tuple[int, 
     maximum eccentricity and v the first tile farthest from u.  One full BFS
     runs from every empty tile.
     """
-    open_tiles, stride = framed_open_tiles(maze)
+    # one flat list framed by walls: a wall row above and below, and a wall
+    # column after each row, which is also the wall left of the next row
+    H, W = maze.walls.shape
+    stride = W + 1
+    framed = np.zeros((H + 2, stride), dtype=bool)
+    framed[1 : H + 1, :W] = ~maze.walls
+    open_tiles = framed.ravel().tolist()
     if not any(open_tiles):
         raise MazeError("maze has no empty tiles")
     best_len = -1
