@@ -7,7 +7,10 @@ source flood stops growing without an overlap, which proves the target
 unreachable.  The diameter canvas steps the same kernels from one source per
 maze copy and halts each copy at its fixpoint.  The state is an integer
 tensor in ``flood_dtype``; the maze one-hot enters it once, as the constant
-plane its kernels add to every step.
+plane its kernels add to every step.  The state keeps the conv's one-cell
+border (``tensor.conv2d``).  The constant plane frames the maze with walls,
+so a border cell's flood pre-activation is at most -6 + 5 and its age adds
+only border cells: the border stays zero, as zero padding would be.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .loop import run
-from .grid import Maze, MazeError, one_hot
-from .tensor import KernelStack, conv2d, int_dtype, step, w_center3, w_von_neumann
+from .grid import CH_WALL, Maze, MazeError, one_hot
+from .tensor import KernelStack, conv2d, int_dtype, interior, step, w_center3, w_von_neumann
 
 # hidden channel registry
 FLOOD_S, FLOOD_T, AGE = 0, 1, 2
@@ -32,9 +35,11 @@ IN_FLOOD_S, IN_FLOOD_T, IN_AGE, IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = range(
 
 @dataclass(frozen=True)
 class BfsState:
-    hidden: np.ndarray  # 3 x H x W
-    const: np.ndarray  # 3 x H x W, the maze one-hot's share of every step
+    frame: np.ndarray  # 3 x (H + 2) x (W + 2), the planes in a zero border
+    const: np.ndarray  # 3 x (H + 2) x (W + 2), the maze one-hot's share of every step
     step: int = 0
+
+    hidden = property(interior)  # 3 x H x W
 
 
 @dataclass(frozen=True)
@@ -75,26 +80,29 @@ def flood_dtype(height: int, width: int) -> np.dtype:
 
 
 def flood_plane(onehot: np.ndarray) -> np.ndarray:
-    """Constant plane of a flood over a 4 x H x W maze one-hot, in the
-    one-hot's dtype.  Every static tap is a centre tap, so each cell of the
-    plane depends on that cell of the one-hot alone."""
-    return conv2d(onehot, _weights().split(N_HIDDEN)[1])
+    """Framed constant plane of a flood over a 4 x H x W maze one-hot framed
+    with walls, in the one-hot's dtype.  Every static tap is a centre tap, so
+    the wall frame is convolved as the interior of a second frame."""
+    walled = np.pad(onehot, ((0, 0), (2, 2), (2, 2)))
+    walled[CH_WALL, [1, -2], 1:-1] = walled[CH_WALL, 1:-1, [1, -2]] = 1
+    return np.ascontiguousarray(conv2d(walled, _weights().split(N_HIDDEN)[1])[:, 1:-1, 1:-1])
 
 
 def initial_state(maze_onehot: np.ndarray) -> BfsState:
     _, H, W = maze_onehot.shape
     dtype = flood_dtype(H, W)
     return BfsState(
-        hidden=np.zeros((N_HIDDEN, H, W), dtype), const=flood_plane(maze_onehot.astype(dtype))
+        frame=np.zeros((N_HIDDEN, H + 2, W + 2), dtype),
+        const=flood_plane(maze_onehot.astype(dtype)),
     )
 
 
 def bfs_step(state: BfsState) -> BfsState:
-    out = conv2d(state.hidden, _weights().split(N_HIDDEN)[0], state.const)
+    out = conv2d(state.frame, _weights().split(N_HIDDEN)[0], state.const)
     floods = out[FLOOD_S : FLOOD_T + 1]
     step(floods, out=floods)
     # age is an exact integer accumulation; never negative, so relu is a no-op
-    return BfsState(hidden=out, const=state.const, step=state.step + 1)
+    return BfsState(frame=out, const=state.const, step=state.step + 1)
 
 
 def flood_horizon(height: int, width: int) -> int:
@@ -107,13 +115,13 @@ def flood_horizon(height: int, width: int) -> int:
 
 def floods_met(state: BfsState) -> bool:
     """The two floods overlap somewhere."""
-    return bool((state.hidden[FLOOD_S] & state.hidden[FLOOD_T]).any())
+    return bool((state.frame[FLOOD_S] & state.frame[FLOOD_T]).any())
 
 
 def flood_fixpoint(prev: BfsState, state: BfsState, copies: int = 1) -> np.ndarray:
     """Single-source halting rule, per maze copy for ``copies`` copies
     stacked along the rows: the copy's source flood stopped changing."""
-    same = state.hidden[FLOOD_S] == prev.hidden[FLOOD_S]
+    same = state.frame[FLOOD_S, 1:-1] == prev.frame[FLOOD_S, 1:-1]
     return same.reshape(copies, -1).all(axis=1)
 
 

@@ -18,7 +18,9 @@ the kernel's reach (2) from the box reads only cells whose other channels
 did not change, and no channel but the rank reads the rank, so the step
 leaves that cell as it was, except that a stacked tile's rank ages by 1.  A
 step therefore convolves the box dilated by 4 and keeps the box dilated by
-2, which the crop's zero border does not reach.
+2, which the crop's zero border does not reach.  The crop is read into the
+conv's two-cell frame (``tensor.conv2d``), and the constant plane is kept in
+that frame over the whole grid, so the crop's share of it is a slice.
 
 What a step reads, and what it costs.  A state stores its planes in blocks
 of up to BLOCK x BLOCK cells, which states share until a step writes into
@@ -107,7 +109,7 @@ class DfsState:
 
     blocks: tuple[np.ndarray, ...]
     epochs: tuple[int, ...]  # the step that last wrote each block
-    const: np.ndarray  # 9 x H x W, the maze one-hot's share of every step
+    const: np.ndarray  # 9 x (H + 4) x (W + 4), the maze one-hot's share of every step
     # (rows, cols) half-open ranges of the cells the last step changed in any
     # channel but STACK_RANK; the next step recomputes only near them
     active: tuple[tuple[int, int], tuple[int, int]]
@@ -125,7 +127,7 @@ class DfsState:
     def hidden(self) -> np.ndarray:
         """The 9 x H x W hidden planes, assembled once and read-only."""
         _, H, W = self.const.shape
-        return _frozen(np.array(_read(self, 0, H, 0, W)))
+        return _frozen(_read(self, 0, H - 4, 0, W - 4)[:, 2:-2, 2:-2])
 
 
 @dataclass
@@ -171,17 +173,15 @@ def _age(planes: np.ndarray, steps: int) -> None:
 
 
 def _read(state: DfsState, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """Cells [r0, r1) x [c0, c1) of the state's planes, not to be written: a
-    view when one block holds them and was written by the last step."""
-    t, pieces = state.step, _pieces(state.const.shape[2], r0, r1, c0, c1)
-    k, inner, _ = pieces[0]
-    if len(pieces) == 1 and state.epochs[k] == t:
-        return state.blocks[k][inner]
-    out = np.empty((N_HIDDEN, r1 - r0, c1 - c0), state.const.dtype)
+    """Cells [r0, r1) x [c0, c1) of the state's planes in the conv's frame,
+    a border of two zero cells, as a fresh array."""
+    t, pieces = state.step, _pieces(state.const.shape[2] - 4, r0, r1, c0, c1)
+    out = np.zeros((N_HIDDEN, r1 - r0 + 4, c1 - c0 + 4), state.const.dtype)
+    crop = out[:, 2:-2, 2:-2]
     for k, inner, outer in pieces:
-        out[outer] = state.blocks[k][inner]
+        crop[outer] = state.blocks[k][inner]
         if state.epochs[k] != t:
-            _age(out[outer], t - state.epochs[k])
+            _age(crop[outer], t - state.epochs[k])
     return out
 
 
@@ -190,7 +190,7 @@ def _write(state: DfsState, r0: int, c0: int, values: np.ndarray, popped) -> tup
     (r0, c0) on, and the stack channels zeroed at each popped tile, in
     copies of the blocks they meet, each aged to the next step before its
     first write and read-only after the last; the other blocks are shared."""
-    W, t1 = state.const.shape[2], state.step + 1
+    W, t1 = state.const.shape[2] - 4, state.step + 1
     blocks, epochs, fresh = list(state.blocks), list(state.epochs), []
     _, h, w = values.shape
     writes = [(k, inner, values[outer]) for k, inner, outer in _pieces(W, r0, r0 + h, c0, c0 + w)]
@@ -257,11 +257,12 @@ def _weights() -> KernelStack:
 def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     """The state of a run of at most ``horizon`` steps from ``start``, which
     the one-hot marks as the source."""
-    # a rank grows by at most 1 per step from 0, so every 5 * rank + direction
-    # the run reaches is below 5 * (horizon + 1); other pre-activations lie
-    # in [-10, 8]
-    dtype = int_dtype(5 * (horizon + 1))
+    # a rank grows by 1 per step from 0 while its tile is stacked, so ranks
+    # stay below the horizon and their pre-activations below horizon + 2;
+    # other pre-activations lie in [-10, 8].  Pop keys are int64 records.
+    dtype = int_dtype(max(horizon + 2, 10))
     onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
+    framed = np.pad(onehot, ((0, 0), (2, 2), (2, 2)))
     H, W = maze.walls.shape
     blocks = tuple(
         _frozen(np.zeros((N_HIDDEN, min(BLOCK, H - r), min(BLOCK, W - c)), dtype))
@@ -270,14 +271,14 @@ def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     return DfsState(
         blocks=blocks,
         epochs=(0,) * len(blocks),
-        const=_frozen(conv2d(onehot, _weights().split(N_HIDDEN)[1])),
+        const=_frozen(conv2d(framed, _weights().split(N_HIDDEN)[1])),
         active=((0, H), (0, W)),
     )
 
 
 def dfs_step(state: DfsState) -> DfsState:
     t = state.step
-    _, H, W = state.const.shape
+    H, W = (n - 4 for n in state.const.shape[1:])
     # only cells within reach 2 of the active box have changed conv inputs;
     # the conv reads reach 2 around those in turn, so a crop's zero border
     # stays outside the kept window unless it is the grid's own border
@@ -285,21 +286,20 @@ def dfs_step(state: DfsState) -> DfsState:
     r0, r1, c0, c1 = max(b0 - 2, 0), min(b1 + 2, H), max(d0 - 2, 0), min(d1 + 2, W)
     i0, i1, j0, j1 = max(b0 - 4, 0), min(b1 + 4, H), max(d0 - 4, 0), min(d1 + 4, W)
     x = _read(state, i0, i1, j0, j1)
-    out = conv2d(x, _weights().split(N_HIDDEN)[0], state.const[:, i0:i1, j0:j1])
+    out = conv2d(x, _weights().split(N_HIDDEN)[0], state.const[:, i0 : i1 + 4, j0 : j1 + 4])
 
-    # pointwise activations, in place on the whole contiguous crop
+    # pointwise activations, in place on the whole contiguous framed crop
     dirs, route, stack = out[1:5], out[ROUTE], out[STACK:PEBBLE]
     step(dirs, out=dirs)  # the four ROUTE_DIRS
     np.add(route, np.maximum.reduce(dirs), out=route)
     step(route, out=route)
     relu(stack, out=stack)  # STACK, STACK_RANK, STACK_DIR
-    # a tile re-added before being popped carries stack == 2 (at most one
-    # pebble neighbours it, and a stack is 0 or 1 between steps); the test
-    # reads the contiguous crop, which holds the window
-    readded = np.maximum.reduce(out[STACK], axis=None) == 2
 
-    window = np.s_[:, r0 - i0 : r1 - i0, c0 - j0 : c1 - j0]
+    window = np.s_[:, r0 - i0 + 2 : r1 - i0 + 2, c0 - j0 + 2 : c1 - j0 + 2]
     out, before = out[window], x[window]
+    # a tile re-added before being popped carries stack == 2 (at most one
+    # pebble neighbours it, and a stack is 0 or 1 between steps)
+    readded = np.maximum.reduce(out[STACK], axis=None) == 2
     # overwrite a re-added tile's old bookkeeping so it behaves as freshly
     # stacked (rank also picked up this step's increment, hence the extra +1)
     dbl = None

@@ -9,11 +9,14 @@ copy of the maze, the copies are stacked along the row axis of one tensor in
 the flood's integer dtype with a row of walls between neighbours, and each
 conv step advances all of them at once.  A wall row never floods and its age
 stays 0, so it isolates the copies exactly as zero padding isolates a single
-run.  A copy whose flood stopped changing has reached its fixpoint
+run.  The canvas keeps a single flood's one-cell border, so each copy's rows
+and its gutter row are contiguous and the copies are a reshape of it.  A
+copy whose flood stopped changing has reached its fixpoint
 (``bfs.flood_fixpoint``); its source age and its farthest tile are read and
-the copy leaves the canvas, so later steps pay only for live floods.  The
-canvas's constant plane is built once; a leaving copy's rows are dropped
-from it, which is exact because every static flood tap is a centre tap.
+the copy leaves the canvas, a take along the copy axis, so later steps pay
+only for live floods.  The canvas's constant plane is built once; a leaving
+copy's rows are dropped from it, which is exact because every static flood
+tap is a centre tap.
 
 Only the tiles that could still hold the diameter flood, as in Takes and
 Kosters' BoundingDiameters (CIKM 2011).  A settled flood from u gives the
@@ -84,6 +87,13 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
+def _keep(frame: np.ndarray, m: int, keep: np.ndarray) -> np.ndarray:
+    """The canvas frame with only the copies ``keep`` of its ``m``."""
+    C, _, Wp = frame.shape
+    kept = frame[:, 1:-1].reshape(C, m, -1, Wp).take(keep, axis=1).reshape(C, -1, Wp)
+    return np.concatenate((frame[:, :1], kept, frame[:, -1:]), axis=1)
+
+
 def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-source floods from every tile in ``tiles`` (n x 2, empty
     tiles), all on one canvas, each run to its fixpoint.  Returns the age at
@@ -104,10 +114,8 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     onehot[CH_WALL, :, H] = 1
     onehot[CH_SOURCE, np.arange(n), rows, cols] = 1
     onehot[CH_EMPTY, np.arange(n), rows, cols] = 0
-    state = BfsState(
-        hidden=np.zeros((N_HIDDEN, n * (H + 1), W), dtype=dtype),
-        const=flood_plane(onehot.reshape(4, -1, W)),
-    )
+    const = flood_plane(onehot.reshape(4, -1, W))
+    state = BfsState(frame=np.zeros_like(const), const=const)
 
     ages = np.zeros(n, dtype=np.int64)
     far = np.zeros((n, 2), dtype=np.int64)
@@ -118,25 +126,21 @@ def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         m = len(live)
         settled = flood_fixpoint(prev, state, m)
         if settled.any():
-            hidden = state.hidden.reshape(N_HIDDEN, m, H + 1, W)
+            hidden = state.frame[:, 1:-1].reshape(N_HIDDEN, m, H + 1, W + 2)
             done, copies = live[settled], np.flatnonzero(settled)
-            ages[done] = hidden[AGE, copies, rows[done], cols[done]]
-            flood_ages = hidden[AGE, copies, :H].reshape(len(copies), -1)
-            flooded = hidden[FLOOD_S, copies, :H].reshape(len(copies), -1) > 0
+            ages[done] = hidden[AGE, copies, rows[done], cols[done] + 1]
+            flood_ages = hidden[AGE, copies, :H, 1:-1].reshape(len(copies), -1)
+            flooded = hidden[FLOOD_S, copies, :H, 1:-1].reshape(len(copies), -1) > 0
             flat = np.argmin(np.where(flooded, flood_ages, np.iinfo(dtype).max), axis=1)
             far[done] = np.stack(np.divmod(flat, W), axis=1)
             bound = np.where(flooded, 2 * ages[done, None] - flood_ages, NO_BOUND)
             np.minimum(upper, bound.min(axis=0), out=upper)
-            keep = ~settled
+            keep = np.flatnonzero(~settled)
             live = live[keep]
             if not live.size:
                 return ages, far, upper.reshape(H, W)
-            const = state.const.reshape(N_HIDDEN, m, H + 1, W)[:, keep]
-            state = BfsState(
-                hidden=hidden[:, keep].reshape(N_HIDDEN, -1, W),
-                const=const.reshape(N_HIDDEN, -1, W),
-                step=state.step,
-            )
+            state = BfsState(frame=_keep(state.frame, m, keep),
+                             const=_keep(state.const, m, keep), step=state.step)
     raise MazeError(f"{len(live)} floods did not settle within {flood_horizon(H, W)} steps")
 
 

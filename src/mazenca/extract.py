@@ -5,7 +5,10 @@ the frozen age field: a tile joins the path when a path-marked neighbour's
 age is exactly one less than its own, which walks the path outward from the
 meeting point toward both endpoints and covers every shortest path at once.
 The state has the frozen flood's integer dtype.  The frozen flood enters it
-once, as the constant plane the kernels add to every step.
+once, as the constant plane the kernels add to every step.  The state keeps
+the conv's one-cell border (``tensor.conv2d``), as the frozen flood does, so
+at a border cell the path pre-activation is -1 and a direction's is
+2 AGE(nb) + PATH(nb) >= 0, never -1: the activations hold the border at 0.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .bfs import BfsResult, flood_horizon
 from .loop import run
 from .grid import MazeError
-from .tensor import KernelStack, conv2d, sawtooth, step, w_center3, w_offset3
+from .tensor import KernelStack, conv2d, interior, sawtooth, step, w_center3, w_offset3
 
 # hidden channel registry; directional channels named by the 3x3 kernel
 # offset they watch (the neighbour a path activation arrives from)
@@ -34,9 +37,11 @@ IN_FLOOD_S, IN_FLOOD_T, IN_AGE = 5, 6, 7
 
 @dataclass(frozen=True)
 class ExtractState:
-    hidden: np.ndarray  # 5 x H x W
-    const: np.ndarray  # 5 x H x W, the terminated flood's share of every step
+    frame: np.ndarray  # 5 x (H + 2) x (W + 2), the planes in a zero border
+    const: np.ndarray  # 5 x (H + 2) x (W + 2), the terminated flood's share of every step
     step: int = 0
+
+    hidden = property(interior)  # 5 x H x W
 
 
 @dataclass(frozen=True)
@@ -69,16 +74,16 @@ def _weights() -> KernelStack:
 
 
 def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
-    _, H, W = bfs_frozen.shape
+    _, Hp, Wp = bfs_frozen.shape  # the frozen flood's frame
     # the frozen flood met by step ceil((H*W-1)/2)+1, so its ages are at most
     # ceil((H*W-1)/2) and the 2*dage +- 1 pre-activations stay within
     # +-(H*W+1), the bound of its dtype (bfs.flood_dtype)
-    hidden = np.zeros((N_HIDDEN, H, W), bfs_frozen.dtype)
-    return ExtractState(hidden=hidden, const=conv2d(bfs_frozen, _weights().split(N_HIDDEN)[1]))
+    frame = np.zeros((N_HIDDEN, Hp, Wp), bfs_frozen.dtype)
+    return ExtractState(frame=frame, const=conv2d(bfs_frozen, _weights().split(N_HIDDEN)[1]))
 
 
 def extract_step(state: ExtractState) -> ExtractState:
-    out = conv2d(state.hidden, _weights().split(N_HIDDEN)[0], state.const)
+    out = conv2d(state.frame, _weights().split(N_HIDDEN)[0], state.const)
     dirs, path = out[DIR_CHANNELS[0] : DIR_CHANNELS[-1] + 1], out[PATH]
     sawtooth(dirs, -1, out=dirs)
     # The path combines the overlap seed with the directional acceptances so
@@ -86,12 +91,12 @@ def extract_step(state: ExtractState) -> ExtractState:
     # single-tile meet).
     step(path, out=path)  # the seed, step(flood_s + flood_t - 1)
     step(out.sum(axis=0, dtype=out.dtype), out=path)  # step(seed + sum of dirs)
-    return ExtractState(hidden=out, const=state.const, step=state.step + 1)
+    return ExtractState(frame=out, const=state.const, step=state.step + 1)
 
 
 def path_fixpoint(prev: ExtractState, state: ExtractState) -> bool:
     """Halting rule: the path channel stopped changing."""
-    return bool((state.hidden[PATH] == prev.hidden[PATH]).all())
+    return bool((state.frame[PATH] == prev.frame[PATH]).all())
 
 
 def run_extract(
@@ -104,7 +109,7 @@ def run_extract(
         raise MazeError("extraction needs a met flood result")
     maze = bfs.maze
     horizon = flood_horizon(maze.height, maze.width)
-    state = initial_state(bfs.final.hidden)
+    state = initial_state(bfs.final.frame)
     state, done = run(extract_step, state, path_fixpoint, horizon, observe)
     if not done:
         raise MazeError(f"no path fixpoint within {horizon} steps")

@@ -15,19 +15,19 @@ convolves only the hidden channels, starting from that plane.
 
 ``conv2d`` is bound by numpy's per-call cost, not by arithmetic, at the
 sizes the automata run: a step's conv is a few dozen array operations on a
-few hundred to a few thousand cells.  So it makes each run of taps one
-contiguous 1-D operation.  The input is copied into a zero-bordered buffer
-with row stride ``Wp = W + 2 * pad`` and channel stride
-``L = (H + 2 * pad + 1) * Wp``, and the accumulator has the same layout;
-output cell ``(r, c)`` of channel ``co`` sits at flat index
-``co * L + r * Wp + c``, and tap ``(i, j)`` from input channel ``ci`` reads
-the slice that starts at ``ci * L + i * Wp + j``.  Each flat output row
-carries ``2 * pad`` wrap-around cells, which read across the border and are
-dropped at the end.  Because every channel has the same stride, taps with
-the same kernel cell and weight from input channels ``ci, ci + 1, ...`` to
-output channels ``co, co + 1, ...`` form a run (``KernelStack.runs``) that
-is one add spanning all its channels; the cells between two channels land
-in the accumulator's discarded tail rows.
+few hundred to a few thousand cells.  So each run of taps is one contiguous
+1-D operation, on states stored in the conv's frame: each plane keeps a
+border of ``pad = (k - 1) // 2`` zero cells, so its row stride is
+``Wp = W + 2 * pad`` and its channel stride ``L = (H + 2 * pad) * Wp``, and
+tap ``(i, j)`` from input channel ``ci`` for the output cell at flat index
+``f`` of its channel reads ``ci * L + f + (i - pad) * Wp + j - pad``.
+Because every channel has the same stride, taps with the same kernel cell
+and weight from input channels ``ci, ci + 1, ...`` to output channels
+``co, co + 1, ...`` form a run (``KernelStack.runs``) that is one add
+spanning all its channels.  An add also reaches the border columns each
+flat row wraps through and the border rows between channels, so each
+automaton's activations must return its border to zero: its constant plane
+holds the border below every threshold they fire at.
 
 The activations take ``out=`` so a step applies each one once, in place, to
 a slice of consecutive channels of the conv output.
@@ -130,25 +130,25 @@ class KernelStack:
             self._runs = sorted(runs, key=lambda r: (r[1], r[2], r[3], r[4], r[0]))
         return self._runs
 
-    def plan(self, H: int, W: int) -> list:
-        """``runs`` laid out for an H x W input in ``conv2d``'s flat layout,
-        as (input slice, accumulator slice, w); the input slice is None where
-        a run reads the same cells as the run before it.  The last PLANS
-        plans made are cached."""
-        plan = self._plans.get((H, W))
+    def plan(self, Hp: int, Wp: int) -> list:
+        """``runs`` laid out for an Hp x Wp framed plane in ``conv2d``'s flat
+        layout, as (input slice, output slice, w); the input slice is None
+        where a run reads the same cells as the run before it.  The last
+        PLANS plans made are cached."""
+        plan = self._plans.get((Hp, Wp))
         if plan is None:
             pad = (self.k - 1) // 2
-            Wp = W + 2 * pad
-            L, n = (H + 2 * pad + 1) * Wp, H * Wp
+            # from the first interior cell to the last
+            L, n, first = Hp * Wp, (Hp - 2 * pad - 1) * Wp + Wp - 2 * pad, pad * Wp + pad
             plan, at = [], None
             for co, ci, m, i, j, w in self.runs():
                 span, start = (m - 1) * L + n, ci * L + i * Wp + j
                 src = None if at == (ci, m, i, j) else slice(start, start + span)
                 at = (ci, m, i, j)
-                plan.append((src, slice(co * L, co * L + span), w))
+                plan.append((src, slice(co * L + first, co * L + first + span), w))
             if len(self._plans) == PLANS:
                 del self._plans[next(iter(self._plans))]
-            self._plans[H, W] = plan
+            self._plans[Hp, Wp] = plan
         return plan
 
     def split(self, n: int) -> tuple[KernelStack, KernelStack]:
@@ -168,30 +168,27 @@ class KernelStack:
 
 
 def conv2d(x: np.ndarray, kernels: KernelStack, base: np.ndarray | None = None) -> np.ndarray:
-    """Stride-1 convolution with zero padding of width (k-1)/2.  The output
-    is a fresh C-contiguous array of the input's dtype: the bias, or ``base``
-    (out x H x W, the input's dtype) in place of the bias, plus every tap.
-    Neither ``x`` nor ``base`` is written.  Integer sums wrap modulo the
-    dtype's range, so the result is exact whenever the final value fits."""
-    C, H, W = x.shape
+    """Stride-1 zero-padded convolution in the conv's frame: ``x`` is an
+    H x W interior in a border of (k-1)/2 zero cells.  The output is a fresh
+    C-contiguous array of the same frame and dtype: the bias, or ``base`` in
+    place of the bias, plus every tap.  Its interior is the convolution of
+    ``x``'s interior; its border is left as the taps leave it.  Neither ``x``
+    nor ``base`` is written.  Integer sums wrap modulo the dtype's range, so
+    the result is exact whenever the final value fits."""
+    C, Hp, Wp = x.shape
     if C != kernels.in_channels:
         raise TensorError(f"input has {C} channels, kernels expect {kernels.in_channels}")
-    if base is not None and (base.shape != (kernels.out_channels, H, W) or base.dtype != x.dtype):
-        raise TensorError(
-            f"base is {base.dtype} {base.shape}, expected {x.dtype} "
-            f"{(kernels.out_channels, H, W)}"
-        )
-    pad = (kernels.k - 1) // 2
-    Wp = W + 2 * pad
-    # one spare row past the bottom border holds the 2 * pad cells that end
-    # the last tap's slice; the accumulator's channels share the stride
-    rows = H + 2 * pad + 1
-    padded = np.zeros((C, rows, Wp), x.dtype)
-    padded[:, pad : pad + H, pad : pad + W] = x
-    flat = padded.reshape(-1)
-    wide = np.zeros(kernels.out_channels * rows * Wp, x.dtype)
+    if min(Hp, Wp) < kernels.k:
+        raise TensorError(f"a {Hp} x {Wp} frame has no interior for k = {kernels.k}")
+    shape = (kernels.out_channels, Hp, Wp)
+    if base is None:
+        base = np.broadcast_to(kernels.bias.astype(x.dtype)[:, None, None], shape)
+    elif base.shape != shape or base.dtype != x.dtype:
+        raise TensorError(f"base is {base.dtype} {base.shape}, expected {x.dtype} {shape}")
+    out = base.copy()
+    flat, wide = x.reshape(-1), out.reshape(-1)
     view = None
-    for src, at, w in kernels.plan(H, W):
+    for src, at, w in kernels.plan(Hp, Wp):
         if src is not None:
             view = flat[src]
         acc = wide[at]
@@ -201,8 +198,12 @@ def conv2d(x: np.ndarray, kernels: KernelStack, base: np.ndarray | None = None) 
             np.subtract(acc, view, out=acc)
         else:
             np.add(acc, np.multiply(view, w), out=acc)
-    out = wide.reshape(-1, rows, Wp)[:, :H, :W]
-    return out + (kernels.bias.astype(x.dtype)[:, None, None] if base is None else base)
+    return out
+
+
+def interior(state) -> np.ndarray:
+    """A view of the C x H x W interior of a state's 3 x 3 conv ``frame``."""
+    return state.frame[:, 1:-1, 1:-1]
 
 
 def step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -43,6 +43,22 @@ def test_corridor_from_middle():
         [(0, 2), (0, 3), (0, 4), (0, 1), (0, 0)]
 
 
+def test_ranks_fit_the_narrowest_dtype_on_a_long_corridor():
+    # From the second tile of a 1 x 123 corridor the first tile is stacked
+    # at step 2 and popped only after the walk reaches the far end, so its
+    # rank grows to 120.  A horizon of exactly the run's 125 steps (123
+    # visits, one pop, the drained step) gives the bound 125 + 2 = 127, so
+    # the planes are int8, and the rank must not wrap.
+    n = 123
+    states = []
+    trace = run_dfs(walls_only("." * n), (0, 1), max_steps=n + 2, observe=states.append)
+    assert trace.visit_order == [(0, c) for c in range(1, n)] + [(0, 0)]
+    assert trace.steps_used == n + 2
+    assert {state.hidden.dtype for state in states} == {np.dtype(np.int8)}
+    ranks = [int(state.hidden[STACK_RANK, 0, 0]) for state in states]
+    assert max(ranks) == n - 3 and min(ranks) == 0
+
+
 def test_pop_after_dead_end():
     # down-first walk hits the dead end, then pops back to the stacked fork
     maze = walls_only("...\n.#.\n.#.")

@@ -80,18 +80,22 @@ def test_step_matches_the_papers_per_channel_formula():
     # the channels in the state dtype.  Written out per channel, the paper's
     # form is: a sawtooth at -1 on each direction's pre-activation, the seed
     # step(flood_s + flood_t - 1), and the path step(seed + sum of dirs).
+    # States are framed: random planes inside a zero border, and the
+    # pre-activations are read from the interior.
     ks = build_extract_weights()
     for seed in range(20):
         maze = generate_maze(GenConfig(width=6 + seed % 7, height=5 + seed % 5, seed=seed))
-        frozen = run_bfs(maze).final.hidden
+        frozen = run_bfs(maze).final.frame
         const = extract_initial_state(frozen).const
         rng = np.random.default_rng(seed)
-        hidden = rng.integers(-2, 3, size=(5, *frozen.shape[1:])).astype(frozen.dtype)
-        pre = conv2d(np.concatenate([hidden, frozen]).astype(np.int64), ks)
+        interior = rng.integers(-2, 3, size=(5, maze.height, maze.width))
+        hidden = np.pad(interior, ((0, 0), (1, 1), (1, 1))).astype(frozen.dtype)
+        framed = conv2d(np.concatenate([hidden, frozen]).astype(np.int64), ks)
+        pre = framed[:, 1:-1, 1:-1]
         dirs = [np.maximum(0, 1 - np.abs(pre[ch] + 1)) for ch in DIR_CHANNELS]
         seed_plane = (pre[PATH] > 0).astype(np.int64)
         path = (seed_plane + sum(dirs) > 0).astype(np.int64)
-        out = extract_step(ExtractState(hidden=hidden, const=const, step=3))
+        out = extract_step(ExtractState(frame=hidden, const=const, step=3))
         assert out.step == 4 and out.hidden.dtype == frozen.dtype
         np.testing.assert_array_equal(out.hidden, np.stack([path, *dirs]))
 

@@ -8,7 +8,7 @@ from mazenca.bfs import flood_dtype, run_bfs
 from mazenca.dfs import initial_state as dfs_initial_state
 from mazenca.dfs import run_dfs
 from mazenca.extract import run_extract
-from mazenca.grid import Maze, MazeError, parse_maze
+from mazenca.grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError, one_hot, parse_maze
 from mazenca.tensor import (
     KernelStack,
     TensorError,
@@ -21,26 +21,34 @@ from mazenca.tensor import (
     w_offset3,
     w_von_neumann,
 )
+from sweep import sweep_mazes
 
 
 def naive_conv2d(x, kernels):
-    """Direct quadruple-loop reference used only to cross-check conv2d."""
-    C_out = kernels.out_channels
+    """Direct reference used only to cross-check conv2d: on the C x H x W
+    input zero-padded by (k-1)/2, each weight adds its input plane shifted
+    by the weight's kernel cell to its output channel, in float64."""
     k = kernels.k
     pad = (k - 1) // 2
     _, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((C_out, H, W))
-    for co in range(C_out):
-        for y in range(H):
-            for xx in range(W):
-                acc = kernels.bias[co]
-                for ci in range(x.shape[0]):
-                    for i in range(k):
-                        for j in range(k):
-                            acc += kernels.weights[co, ci, i, j] * xp[ci, y + i, xx + j]
-                out[co, y, xx] = acc
+    xp = np.pad(x.astype(np.float64), ((0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((kernels.out_channels, H, W)) + kernels.bias[:, None, None]
+    for co, ci, i, j in np.argwhere(kernels.weights):
+        out[co] += kernels.weights[co, ci, i, j] * xp[ci, i : i + H, j : j + W]
     return out
+
+
+def frame(x, pad):
+    """C x H x W planes in the conv's frame, a border of ``pad`` zero cells."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+
+
+def framed_conv2d(x, kernels, base=None):
+    """conv2d of C x H x W planes (and base) through the conv's frame: the
+    interior of its output."""
+    pad = (kernels.k - 1) // 2
+    out = conv2d(frame(x, pad), kernels, None if base is None else frame(base, pad))
+    return out[:, pad : out.shape[1] - pad, pad : out.shape[2] - pad]
 
 
 @settings(max_examples=25, deadline=None)
@@ -52,7 +60,7 @@ def test_conv2d_matches_naive_reference(seed, k):
         weights=rng.integers(-2, 3, size=(2, 3, k, k)).astype(np.float64),
         bias=rng.integers(-1, 2, size=2).astype(np.float64),
     )
-    np.testing.assert_array_equal(conv2d(x, ks), naive_conv2d(x, ks))
+    np.testing.assert_array_equal(framed_conv2d(x, ks), naive_conv2d(x, ks))
 
 
 @settings(max_examples=25, deadline=None)
@@ -65,9 +73,9 @@ def test_conv2d_integer_input_keeps_dtype_and_matches_float(seed, k, dtype):
         weights=rng.integers(-2, 3, size=(2, 3, k, k)).astype(np.float64),
         bias=rng.integers(-1, 2, size=2).astype(np.float64),
     )
-    out = conv2d(x, ks)
+    out = framed_conv2d(x, ks)
     assert out.dtype == dtype
-    np.testing.assert_array_equal(out, conv2d(x.astype(np.float64), ks))
+    np.testing.assert_array_equal(out, framed_conv2d(x.astype(np.float64), ks))
 
 
 def run_stack(k, rng):
@@ -99,8 +107,10 @@ def test_conv2d_matches_naive_reference_across_shapes(k, dtype):
     # kernel size, where the flat layout's wrap-around cells sit next to
     # every output cell.  Random 2-in/3-out stacks make channel runs of at
     # most 2; ``run_stack`` adds runs of 3 and 4.  Values stay within int8,
-    # so each sum is exact.
+    # so each sum is exact.  Inputs and base are framed in zero borders, and
+    # the interior of the framed output is checked.
     rng = np.random.default_rng([k, np.dtype(dtype).num])
+    pad = (k - 1) // 2
     for H in range(1, 8):
         for W in range(1, 8):
             random_stack = KernelStack(
@@ -109,15 +119,18 @@ def test_conv2d_matches_naive_reference_across_shapes(k, dtype):
             )
             for ks in (random_stack, run_stack(k, rng)):
                 C_in, C_out = ks.in_channels, ks.out_channels
-                x = rng.integers(-1, 2, size=(C_in, H, W)).astype(dtype)
-                base = rng.integers(-5, 6, size=(C_out, H, W)).astype(dtype)
+                x = frame(rng.integers(-1, 2, size=(C_in, H, W)).astype(dtype), pad)
+                base = frame(rng.integers(-5, 6, size=(C_out, H, W)).astype(dtype), pad)
                 x_kept, base_kept = x.copy(), base.copy()
-                expect = naive_conv2d(x, ks)
-                for b, want in ((None, expect), (base, expect - ks.bias[:, None, None] + base)):
-                    out = conv2d(x, ks, b)
+                inner = np.s_[:, pad : pad + H, pad : pad + W]
+                expect = naive_conv2d(x[inner], ks)
+                for b, want in ((None, expect),
+                                (base, expect - ks.bias[:, None, None] + base[inner])):
+                    framed = conv2d(x, ks, b)
+                    out = framed[inner]
                     assert out.dtype == dtype and out.shape == (C_out, H, W)
-                    assert out.flags.c_contiguous
-                    assert not np.shares_memory(out, x) and not np.shares_memory(out, base)
+                    assert framed.flags.c_contiguous
+                    assert not np.shares_memory(framed, x) and not np.shares_memory(framed, base)
                     np.testing.assert_array_equal(
                         out, want, err_msg=f"{C_in}->{C_out} {H}x{W} base={b is not None}"
                     )
@@ -139,7 +152,7 @@ def test_conv2d_zero_padding():
     # only in-bounds mass, so edge sums shrink -- padding contributes zero
     ks = KernelStack(weights=np.ones((1, 1, 3, 3)), bias=np.zeros(1))
     x = np.ones((1, 2, 2), dtype=np.int8)
-    np.testing.assert_array_equal(conv2d(x, ks), np.full((1, 2, 2), 4))
+    np.testing.assert_array_equal(framed_conv2d(x, ks), np.full((1, 2, 2), 4))
 
 
 STACKS = [
@@ -159,11 +172,16 @@ def test_constant_plane_split_matches_the_whole_stack(build, n_hidden, shape):
     for seed in range(3):
         rng = np.random.default_rng([seed, n_hidden, *shape])
         x = rng.integers(-20, 21, size=(ks.in_channels, *shape)).astype(np.int32)
+        pad = (ks.k - 1) // 2
+        inner = np.s_[:, pad:-pad, pad:-pad]
+        x = frame(x, pad)
         base = conv2d(x[n_hidden:], static)
         kept = base.copy()
         out = conv2d(x[:n_hidden], dynamic, base)
         assert out.dtype == np.int32
-        np.testing.assert_array_equal(out, conv2d(x, ks))
+        # taps merge into different channel runs in the split stacks, which
+        # reach the border rows between channels differently
+        np.testing.assert_array_equal(out[inner], conv2d(x, ks)[inner])
         np.testing.assert_array_equal(base, kept)
 
 
@@ -188,6 +206,9 @@ def test_kernel_validation():
         KernelStack(weights=np.full((1, 1, 3, 3), np.nan), bias=np.zeros(1))
     with pytest.raises(TensorError):
         conv2d(np.zeros((2, 3, 3), dtype=np.int8),
+               KernelStack(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1)))
+    with pytest.raises(TensorError, match="interior"):
+        conv2d(np.zeros((1, 2, 5), dtype=np.int8),
                KernelStack(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1)))
 
 
@@ -239,7 +260,7 @@ def test_int_dtype_covers_each_automaton_bound():
     assert flood_dtype(128, 128) == np.int16
     assert flood_dtype(256, 256) == np.int32
     assert flood_dtype(2**15, 2**16) == np.int64
-    for side, dtype in ((1, np.int8), (16, np.int16), (64, np.int32)):
+    for side, dtype in ((1, np.int8), (16, np.int16), (64, np.int16)):
         maze = Maze(walls=np.zeros((side, side), dtype=bool))
         # run_dfs's default horizon is twice the number of empty tiles
         state = dfs_initial_state(maze, (0, 0), 2 * side * side)
@@ -248,6 +269,108 @@ def test_int_dtype_covers_each_automaton_bound():
         int_dtype(2**63)
     with pytest.raises(MazeError, match="overflow"):
         flood_dtype(2**32, 2**31)
+
+
+def assert_zero_border(frame):
+    border = frame.copy()
+    border[:, 1:-1, 1:-1] = 0
+    assert not border.any()
+
+
+def flood_reference(pre):
+    """The flood's activations on its pre-activations: step on the floods."""
+    pre[bfs.FLOOD_S : bfs.FLOOD_T + 1] = pre[bfs.FLOOD_S : bfs.FLOOD_T + 1] > 0
+    return pre
+
+
+def dfs_reference(pre, prev, popped):
+    """The DFS step on its whole-grid pre-activations, from the planes
+    ``prev`` before it, with the state's recorded pops."""
+    dirs = pre[1:5] > 0
+    route = pre[dfs.ROUTE] + dirs.max(axis=0) > 0
+    stack = np.maximum(pre[dfs.STACK : dfs.PEBBLE], 0)
+    readded = stack[0] == 2
+    stack -= prev[dfs.STACK : dfs.PEBBLE] * readded
+    stack[dfs.STACK_RANK - dfs.STACK] -= readded
+    pebble = route - prev[dfs.ROUTE]
+    stack[:, pebble > 0] = 0
+    for r, c in popped:
+        stack[:, r, c] = 0
+    return np.concatenate([route[None], dirs, stack, pebble[None]])
+
+
+def test_framed_states_keep_a_zero_border_and_step_the_unframed_stack(monkeypatch):
+    # Every state of every automaton over shapes and wall densities: the
+    # frame's border and the canvas's gutter rows hold zero, and the interior
+    # is one step of the whole stack, naive_conv2d plus the activations, on
+    # the unframed state before it.  A DFS state stores no border: its crops
+    # are framed as they are read.
+    canvas, original = [], diameter.bfs_step
+
+    def canvas_step(state):
+        canvas.append((state, original(state)))
+        return canvas[-1][1]
+
+    monkeypatch.setattr(diameter, "bfs_step", canvas_step)
+    bfs_ks, extract_ks, dfs_ks = (bfs.build_bfs_weights(), extract.build_extract_weights(),
+                                  dfs.build_dfs_weights())
+    dynamic, static = bfs_ks.split(bfs.N_HIDDEN)
+    for i, maze in enumerate(sweep_mazes(60, 12, seed=14)):
+        H, W = maze.walls.shape
+        empties = [tuple(int(v) for v in t) for t in np.argwhere(~maze.walls)]
+        if len(empties) > 1:
+            rng = np.random.default_rng([14, i])
+            source, target = (empties[k] for k in rng.choice(len(empties), 2, replace=False))
+            states = []
+            result = run_bfs(Maze(walls=maze.walls, source=source, target=target),
+                             observe=states.append)
+            onehot = one_hot(result.maze)
+            prev = np.zeros((bfs.N_HIDDEN, H, W))
+            for state in states:
+                assert_zero_border(state.frame)
+                pre = naive_conv2d(np.concatenate([prev, onehot]), bfs_ks)
+                np.testing.assert_array_equal(state.hidden, flood_reference(pre), str(i))
+                prev = state.hidden
+            if result.met:
+                states = []
+                run_extract(result, observe=states.append)
+                prev = np.zeros((extract.N_HIDDEN, H, W))
+                for state in states:
+                    assert_zero_border(state.frame)
+                    pre = naive_conv2d(np.concatenate([prev, result.final.hidden]), extract_ks)
+                    dirs = pre[1:] == -1
+                    path = (pre[extract.PATH] > 0) + dirs.sum(axis=0) > 0
+                    np.testing.assert_array_equal(state.hidden, np.stack([path, *dirs]), str(i))
+                    prev = state.hidden
+
+        start = empties[i % len(empties)]
+        states = []
+        run_dfs(maze, start, observe=states.append)
+        onehot = one_hot(Maze(walls=maze.walls, source=start))
+        prev = np.zeros((dfs.N_HIDDEN, H, W))
+        for state in states:
+            pre = naive_conv2d(np.concatenate([prev, onehot]), dfs_ks)
+            want = dfs_reference(pre, prev, state.popped)
+            np.testing.assert_array_equal(state.hidden, want, f"{i} {state.step}")
+            prev = state.hidden
+
+        # the canvas's first constant plane against its one-hot, then every
+        # step from the constant plane its copies carry
+        canvas.clear()
+        diameter.source_ages(maze, np.array(empties))
+        n = len(empties)
+        onehot = np.zeros((4, n, H + 1, W))
+        onehot[:, :, :H] = one_hot(Maze(walls=maze.walls))[:, None]
+        onehot[CH_WALL, :, H] = 1
+        onehot[CH_SOURCE, np.arange(n), *np.array(empties).T] = 1
+        onehot[CH_EMPTY, np.arange(n), *np.array(empties).T] = 0
+        first = canvas[0][0].const[:, 1:-1, 1:-1]
+        np.testing.assert_array_equal(first, naive_conv2d(onehot.reshape(4, -1, W), static))
+        for prev, state in canvas:
+            assert_zero_border(state.frame)
+            assert not state.hidden.reshape(bfs.N_HIDDEN, -1, H + 1, W)[:, :, H].any()
+            pre = naive_conv2d(prev.hidden, dynamic) + prev.const[:, 1:-1, 1:-1]
+            np.testing.assert_array_equal(state.hidden, flood_reference(pre), str(i))
 
 
 def test_every_automaton_runs_on_integers(monkeypatch):
