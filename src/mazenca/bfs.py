@@ -83,8 +83,10 @@ def flood_plane(onehot: np.ndarray) -> np.ndarray:
     """Framed constant plane of a flood over a 4 x H x W maze one-hot framed
     with walls, in the one-hot's dtype.  Every static tap is a centre tap, so
     the wall frame is convolved as the interior of a second frame."""
-    walled = np.pad(onehot, ((0, 0), (2, 2), (2, 2)))
-    walled[CH_WALL, [1, -2], 1:-1] = walled[CH_WALL, 1:-1, [1, -2]] = 1
+    _, H, W = onehot.shape
+    walled = np.zeros((4, H + 4, W + 4), onehot.dtype)
+    walled[CH_WALL, 1:-1, 1:-1] = 1
+    walled[:, 2:-2, 2:-2] = onehot
     return np.ascontiguousarray(conv2d(walled, _weights().split(N_HIDDEN)[1])[:, 1:-1, 1:-1])
 
 

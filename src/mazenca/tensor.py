@@ -182,10 +182,11 @@ def conv2d(x: np.ndarray, kernels: KernelStack, base: np.ndarray | None = None) 
         raise TensorError(f"a {Hp} x {Wp} frame has no interior for k = {kernels.k}")
     shape = (kernels.out_channels, Hp, Wp)
     if base is None:
-        base = np.broadcast_to(kernels.bias.astype(x.dtype)[:, None, None], shape)
+        out = np.zeros(shape, x.dtype) + kernels.bias.astype(x.dtype)[:, None, None]
     elif base.shape != shape or base.dtype != x.dtype:
         raise TensorError(f"base is {base.dtype} {base.shape}, expected {x.dtype} {shape}")
-    out = base.copy()
+    else:
+        out = base.copy()
     flat, wide = x.reshape(-1), out.reshape(-1)
     view = None
     for src, at, w in kernels.plan(Hp, Wp):
