@@ -20,7 +20,7 @@ from .evolve import EvolutionConfig, label_maze, run_evolution
 from .extract import run_extract
 from .grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
 from .solvers import ExternalSolver, make_solver
-from .verify import verify_task
+from .verify import default_workers, verify_task
 
 
 class UsageError(MazeError):
@@ -140,7 +140,11 @@ def cmd_verify(args) -> int:
     if height != width:
         raise UsageError("verify uses square mazes; pass a single size")
     _count(args.n, "--n")
-    passed, failures = verify_task(args.task, args.n, args.seed, size=height)
+    try:
+        workers = default_workers()
+    except MazeError as exc:
+        raise UsageError(str(exc)) from None
+    passed, failures = verify_task(args.task, args.n, args.seed, size=height, workers=workers)
     for msg in failures:
         print(msg, file=sys.stderr)
     print(f"{passed}/{args.n} exact")

@@ -7,9 +7,7 @@ tiles land on a neural stack (stack / stack_rank / stack_direction) and are
 popped, most recent first, whenever the pebble -- the single newly-routed
 tile -- gets stuck.  A stacked tile's rank counts its steps on the stack and
 its direction is the integer code 1..4 of the move that would reach it, in
-priority order, so ``5 * rank + direction`` orders pops exactly.  The maze
-one-hot enters the state once, as the constant plane the kernels add to
-every step.
+priority order, so ``5 * rank + direction`` orders pops exactly.
 
 A step moves one tile, so the state carries its active box: the bounding
 box of the cells the last step changed in any channel but the rank, a popped
@@ -17,24 +15,36 @@ tile included; the first step's box is the whole grid.  A cell further than
 the kernel's reach (2) from the box reads only cells whose other channels
 did not change, and no channel but the rank reads the rank, so the step
 leaves that cell as it was, except that a stacked tile's rank ages by 1.  A
-step therefore convolves the box dilated by 4 and keeps the box dilated by
-2, which the crop's zero border does not reach.  The crop is read into the
-conv's two-cell frame (``tensor.conv2d``), and the constant plane is kept in
-that frame over the whole grid, so the crop's share of it is a slice.
+step therefore computes only its window, the box dilated by 2.
 
-What a step reads, and what it costs.  A state stores its planes in blocks
-of up to BLOCK x BLOCK cells, which states share until a step writes into
-them.  A block's ranks are as of the step that last wrote it, so the aging
-costs nothing until a step copies the block, and one add then brings the
-copy up to date.  A step reads its crop, and writes its window and any
-popped tile into copies of the blocks they meet.  It reads nothing else of
-the planes.  The pebble's tile, the popped tile and the stacked tiles with
-their pop keys are records the state keeps, updated from the window and the
-pops, and the stuck test, the pop read-out and the halting rule read those.
-Up to 64 x 64 the grid is one block, and a step is about 60 numpy calls on
-arrays of a few hundred cells, 28 of them the conv's taps, so its cost is
-per-call dispatch; a larger grid adds a block copy of at most 64 x 64 cells
-per step, not work over the whole grid.
+Convolution is linear, so a step's pre-activations are the sum of each
+input channel's share, and only the stack channels need a conv.  The maze
+one-hot's share is the constant plane, convolved once per run.  The route
+only grows, by the pebble's tile, and the pebble is one tile, so their
+shares are stamps: the 5x5 kernels from ROUTE and from PEBBLE, flipped in
+both axes because ``tensor.conv2d`` correlates, added at a tile.  A state
+keeps a base, the constant plane plus the route stamp of every routed tile;
+a step adds the pebble's stamp to its own output, and the route stamp of a
+tile it routes to the next state's base.  What is left of the conv are five
+centre taps, STACK -> ROUTE, STACK -> STACK, STACK_RANK -> STACK_RANK,
+STACK_DIR -> STACK_DIR and STACK -> STACK_RANK, which ``conv2d`` runs as a
+1x1 stack in 3 adds, pointwise over the window and from its base.
+
+What a step reads, and what it costs.  A state stores its planes and its
+base in blocks of up to BLOCK x BLOCK cells, which states share until a step
+writes into them.  A block's ranks are as of the step that last wrote it, so
+the aging costs nothing until a step copies the block, and one add then
+brings the copy up to date.  A step reads its window of the planes and of
+the base; it writes its window and any popped tile into copies of the plane
+blocks they meet, and a routed tile's stamp into copies of the base blocks
+it meets.  It reads nothing else of either.  The pebble's tile, the popped
+tile and the stacked tiles with their pop keys are records the state keeps,
+updated from the window and the pops, and the stuck test, the pop read-out
+and the halting rule read those.  Up to 64 x 64 the grid is one block, and a
+step is a few dozen numpy calls on arrays of a few dozen cells, 3 of them
+the conv's adds, so its cost is per-call dispatch; a larger grid adds a few
+block copies of at most 64 x 64 cells per step, not work over the whole
+grid.
 """
 
 from __future__ import annotations
@@ -101,21 +111,25 @@ def _w_direction() -> np.ndarray:
 
 @dataclass(frozen=True)
 class DfsState:
-    """One state of a run.  Its planes are stored as read-only blocks of up
-    to BLOCK x BLOCK cells, row-major, that states share until a step writes
-    into them.  A block's ranks are as of its epoch, the step that last
-    wrote it: a stacked tile in it has aged ``step - epoch`` more since.
-    ``hidden`` assembles the 9 x H x W planes as of ``step``."""
+    """One state of a run.  Its planes and its base are stored as read-only
+    blocks of up to BLOCK x BLOCK cells, row-major, that states share until
+    a step writes into them.  A block's ranks are as of its epoch, the step
+    that last wrote it: a stacked tile in it has aged ``step - epoch`` more
+    since.  ``hidden`` assembles the 9 x H x W planes as of ``step``, and
+    ``base`` the 9 x H x W base."""
 
     blocks: tuple[np.ndarray, ...]
     epochs: tuple[int, ...]  # the step that last wrote each block
-    const: np.ndarray  # 9 x (H + 4) x (W + 4), the maze one-hot's share of every step
+    # the base in the same blocks: the constant plane, the maze one-hot's
+    # share of every step, plus the route stamp of every routed tile
+    bases: tuple[np.ndarray, ...]
+    shape: tuple[int, int]  # H, W
     # (rows, cols) half-open ranges of the cells the last step changed in any
     # channel but STACK_RANK; the next step recomputes only near them
     active: tuple[tuple[int, int], tuple[int, int]]
     step: int = 0
-    # records of what the planes hold, for the read-outs: the tiles the last
-    # step popped (at most one) and the pebble's tile
+    # records of what the planes hold, for the read-outs and the pebble's
+    # stamp: the tiles the last step popped (at most one) and the pebble's tile
     popped: tuple[tuple[int, int], ...] = ()
     pebble: tuple[int, int] | None = None
     # the stacked tiles (STACK > 0), in no particular order: 2 x K, read-only,
@@ -126,8 +140,16 @@ class DfsState:
     @functools.cached_property
     def hidden(self) -> np.ndarray:
         """The 9 x H x W hidden planes, assembled once and read-only."""
-        _, H, W = self.const.shape
-        return _frozen(_read(self, 0, H - 4, 0, W - 4)[:, 2:-2, 2:-2])
+        return _frozen(self._whole(base=False))
+
+    @functools.cached_property
+    def base(self) -> np.ndarray:
+        """The 9 x H x W base, assembled once and read-only."""
+        return _frozen(self._whole(base=True))
+
+    def _whole(self, base: bool) -> np.ndarray:
+        H, W = self.shape
+        return _read(self, _pieces(W, 0, H, 0, W), (N_HIDDEN, H, W), base)
 
 
 @dataclass
@@ -143,9 +165,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# side of the blocks a state stores its planes in.  A grid up to 64 x 64 is
-# one block, which every step copies in one call; a step on a larger grid
-# copies only the blocks its window meets.
+# side of the blocks a state stores its planes and base in.  A grid up to
+# 64 x 64 is one block, which every step copies in one call; a step on a
+# larger grid copies only the blocks its window and stamp meet.
 BLOCK = 64
 
 
@@ -172,28 +194,32 @@ def _age(planes: np.ndarray, steps: int) -> None:
     planes[STACK_RANK] += planes[STACK] if steps == 1 else steps * planes[STACK]
 
 
-def _read(state: DfsState, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """Cells [r0, r1) x [c0, c1) of the state's planes in the conv's frame,
-    a border of two zero cells, as a fresh array."""
-    t, pieces = state.step, _pieces(state.const.shape[2] - 4, r0, r1, c0, c1)
-    out = np.zeros((N_HIDDEN, r1 - r0 + 4, c1 - c0 + 4), state.const.dtype)
-    crop = out[:, 2:-2, 2:-2]
+def _read(state: DfsState, pieces: list, shape: tuple, base: bool) -> np.ndarray:
+    """The region of ``shape`` that ``pieces`` cover, of the state's planes
+    as of its step or of its base: a read-only view of a block when the
+    region lies in one block that needs no aging, else a fresh array."""
+    t, blocks = state.step, state.bases if base else state.blocks
+    if len(pieces) == 1:
+        k, inner, _ = pieces[0]
+        if base or state.epochs[k] == t:
+            return blocks[k][inner]
+    out = np.empty(shape, blocks[0].dtype)
     for k, inner, outer in pieces:
-        crop[outer] = state.blocks[k][inner]
-        if state.epochs[k] != t:
-            _age(crop[outer], t - state.epochs[k])
+        out[outer] = blocks[k][inner]
+        if not base and state.epochs[k] != t:
+            _age(out[outer], t - state.epochs[k])
     return out
 
 
-def _write(state: DfsState, r0: int, c0: int, values: np.ndarray, popped) -> tuple:
-    """The blocks and epochs of the next state: ``values`` written from
-    (r0, c0) on, and the stack channels zeroed at each popped tile, in
-    copies of the blocks they meet, each aged to the next step before its
-    first write and read-only after the last; the other blocks are shared."""
-    W, t1 = state.const.shape[2] - 4, state.step + 1
+def _write(state: DfsState, pieces: list, values: np.ndarray, popped) -> tuple:
+    """The blocks and epochs of the next state: ``values`` written over the
+    region ``pieces`` cover, and the stack channels zeroed at each popped
+    tile, in copies of the blocks they meet, each aged to the next step
+    before its first write and read-only after the last; the other blocks
+    are shared."""
+    W, t1 = state.shape[1], state.step + 1
     blocks, epochs, fresh = list(state.blocks), list(state.epochs), []
-    _, h, w = values.shape
-    writes = [(k, inner, values[outer]) for k, inner, outer in _pieces(W, r0, r0 + h, c0, c0 + w)]
+    writes = [(k, inner, values[outer]) for k, inner, outer in pieces]
     for r, c in popped:
         (k, (_, rows, cols), _), = _pieces(W, r, r + 1, c, c + 1)
         writes.append((k, (slice(STACK, PEBBLE), rows, cols), 0))
@@ -207,6 +233,28 @@ def _write(state: DfsState, r0: int, c0: int, values: np.ndarray, popped) -> tup
     for block in fresh:
         _frozen(block)
     return tuple(blocks), tuple(epochs)
+
+
+def _stamp(planes: np.ndarray, r0: int, c0: int, stamp: np.ndarray, r: int, c: int) -> None:
+    """Add the 9 x 5 x 5 ``stamp`` centred on tile (r, c) into ``planes``,
+    whose first cell is tile (r0, c0), where the two overlap."""
+    _, h, w = planes.shape
+    a0, a1, b0, b1 = max(r - 2, r0), min(r + 3, r0 + h), max(c - 2, c0), min(c + 3, c0 + w)
+    if a0 < a1 and b0 < b1:
+        planes[:, a0 - r0 : a1 - r0, b0 - c0 : b1 - c0] += \
+            stamp[:, a0 - r + 2 : a1 - r + 2, b0 - c + 2 : b1 - c + 2]
+
+
+def _stamped(bases: tuple, shape: tuple[int, int], r: int, c: int) -> tuple:
+    """``bases`` with the route stamp of tile (r, c) added, in read-only
+    copies of the blocks it meets; the other blocks are shared."""
+    (H, W), per_row = shape, -(-shape[1] // BLOCK)
+    bases, stamp = list(bases), _stamps(bases[0].dtype)[0]
+    for k, _, _ in _pieces(W, max(r - 2, 0), min(r + 3, H), max(c - 2, 0), min(c + 3, W)):
+        bases[k] = bases[k].copy()
+        _stamp(bases[k], k // per_row * BLOCK, k % per_row * BLOCK, stamp, r, c)
+        _frozen(bases[k])
+    return tuple(bases)
 
 
 def build_dfs_weights() -> KernelStack:
@@ -254,49 +302,69 @@ def _weights() -> KernelStack:
     return build_dfs_weights()
 
 
+@functools.cache
+def _centre() -> KernelStack:
+    """The dynamic stack's taps from every input but ROUTE and PEBBLE: the
+    five centre taps, as the 1x1 stack a step convolves its window with."""
+    dynamic = _weights().split(N_HIDDEN)[0]
+    w = dynamic.weights.copy()
+    w[:, [ROUTE, PEBBLE]] = 0
+    return KernelStack(weights=w[:, :, 2:3, 2:3], bias=dynamic.bias)
+
+
+@functools.cache
+def _stamps(dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The route's and the pebble's stamps, 9 x 5 x 5 in ``dtype``: the
+    conv of a one-hot tile in ROUTE or PEBBLE, centred on the tile, which is
+    that input's kernels flipped in both axes because conv2d correlates."""
+    w = _weights().weights[:, :, ::-1, ::-1].astype(dtype)
+    return _frozen(w[:, ROUTE].copy()), _frozen(w[:, PEBBLE].copy())
+
+
 def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     """The state of a run of at most ``horizon`` steps from ``start``, which
     the one-hot marks as the source."""
     # a rank grows by 1 per step from 0 while its tile is stacked, so ranks
     # stay below the horizon and their pre-activations below horizon + 2;
-    # other pre-activations lie in [-10, 8].  Pop keys are int64 records.
+    # other pre-activations and the base lie in [-10, 8].  Pop keys are
+    # int64 records.
     dtype = int_dtype(max(horizon + 2, 10))
     onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
     framed = np.pad(onehot, ((0, 0), (2, 2), (2, 2)))
+    const = _frozen(conv2d(framed, _weights().split(N_HIDDEN)[1]))[:, 2:-2, 2:-2]
     H, W = maze.walls.shape
+    corners = [(r, c) for r in range(0, H, BLOCK) for c in range(0, W, BLOCK)]
     blocks = tuple(
         _frozen(np.zeros((N_HIDDEN, min(BLOCK, H - r), min(BLOCK, W - c)), dtype))
-        for r in range(0, H, BLOCK) for c in range(0, W, BLOCK)
+        for r, c in corners
     )
     return DfsState(
         blocks=blocks,
         epochs=(0,) * len(blocks),
-        const=_frozen(conv2d(framed, _weights().split(N_HIDDEN)[1])),
+        bases=tuple(const[:, r : r + BLOCK, c : c + BLOCK] for r, c in corners),
+        shape=(H, W),
         active=((0, H), (0, W)),
     )
 
 
 def dfs_step(state: DfsState) -> DfsState:
-    t = state.step
-    H, W = (n - 4 for n in state.const.shape[1:])
-    # only cells within reach 2 of the active box have changed conv inputs;
-    # the conv reads reach 2 around those in turn, so a crop's zero border
-    # stays outside the kept window unless it is the grid's own border
+    t, (H, W) = state.step, state.shape
+    # only cells within reach 2 of the active box have changed conv inputs
     (b0, b1), (d0, d1) = state.active
     r0, r1, c0, c1 = max(b0 - 2, 0), min(b1 + 2, H), max(d0 - 2, 0), min(d1 + 2, W)
-    i0, i1, j0, j1 = max(b0 - 4, 0), min(b1 + 4, H), max(d0 - 4, 0), min(d1 + 4, W)
-    x = _read(state, i0, i1, j0, j1)
-    out = conv2d(x, _weights().split(N_HIDDEN)[0], state.const[:, i0 : i1 + 4, j0 : j1 + 4])
+    window, shape = _pieces(W, r0, r1, c0, c1), (N_HIDDEN, r1 - r0, c1 - c0)
+    before = _read(state, window, shape, base=False)
+    out = conv2d(before, _centre(), _read(state, window, shape, base=True))
+    if state.pebble is not None:
+        _stamp(out, r0, c0, _stamps(out.dtype)[1], *state.pebble)
 
-    # pointwise activations, in place on the whole contiguous framed crop
+    # pointwise activations, in place on the whole contiguous window
     dirs, route, stack = out[1:5], out[ROUTE], out[STACK:PEBBLE]
     step(dirs, out=dirs)  # the four ROUTE_DIRS
     np.add(route, np.maximum.reduce(dirs), out=route)
     step(route, out=route)
     relu(stack, out=stack)  # STACK, STACK_RANK, STACK_DIR
 
-    window = np.s_[:, r0 - i0 + 2 : r1 - i0 + 2, c0 - j0 + 2 : c1 - j0 + 2]
-    out, before = out[window], x[window]
     # a tile re-added before being popped carries stack == 2 (at most one
     # pebble neighbours it, and a stack is 0 or 1 between steps)
     readded = np.maximum.reduce(out[STACK], axis=None) == 2
@@ -316,9 +384,9 @@ def dfs_step(state: DfsState) -> DfsState:
     # and stack disjoint at every observable state.  Every other route tile
     # already holds none: the inhibition outweighs any input.
     rows, cols = out[PEBBLE].nonzero()
-    pebbles = list(zip(rows.tolist(), cols.tolist()))
+    pebbles = [(r0 + r, c0 + c) for r, c in zip(rows.tolist(), cols.tolist())]
     for r, c in pebbles:
-        out[STACK:PEBBLE, r, c] = 0
+        out[STACK:PEBBLE, r - r0, c - c0] = 0
 
     # A stacked tile ages, keeps its direction and is never routed, so its
     # key changes only when it is re-added or popped; other tiles change the
@@ -348,7 +416,10 @@ def dfs_step(state: DfsState) -> DfsState:
     if stacked is not state.stacked:
         _frozen(stacked)
 
-    blocks, epochs = _write(state, r0, c0, out, popped)
+    blocks, epochs = _write(state, window, out, popped)
+    bases = state.bases
+    for r, c in pebbles:
+        bases = _stamped(bases, state.shape, r, c)
 
     changed[STACK_RANK] = False
     rows, cols = np.logical_or.reduce(changed, axis=0).nonzero()
@@ -356,9 +427,9 @@ def dfs_step(state: DfsState) -> DfsState:
     cols = [c0 + c for c in cols.tolist()] + [c for _, c in popped]
     # a step that changed nothing may keep any box: its successor only ages
     active = ((min(rows), max(rows) + 1), (min(cols), max(cols) + 1)) if rows else state.active
-    pebble = (r0 + pebbles[0][0], c0 + pebbles[0][1]) if pebbles else None
-    return DfsState(blocks=blocks, epochs=epochs, const=state.const,
-                    active=active, step=t + 1, popped=popped, pebble=pebble, stacked=stacked)
+    return DfsState(blocks=blocks, epochs=epochs, bases=bases, shape=state.shape,
+                    active=active, step=t + 1, popped=popped,
+                    pebble=pebbles[0] if pebbles else None, stacked=stacked)
 
 
 def drained(prev: DfsState, state: DfsState) -> bool:

@@ -16,10 +16,9 @@ import numpy as np
 from .dataset import DatasetRecord
 from .grid import Maze, MazeError
 from .oracle import (
-    Unreachable,
     canonical_shortest_path,
     diameter_oracle,
-    shortest_path_union,
+    reachable,
 )
 
 
@@ -81,6 +80,8 @@ def mutate_maze(maze: Maze, rng: np.random.Generator, n_flips: int,
     ]
     if n_flips > len(candidates):
         raise MazeError("n_flips exceeds the number of mutable tiles")
+    if task == "shortest_path" and (maze.source is None or maze.target is None):
+        raise MazeError("shortest-path oracle needs both source and target")
     for _ in range(max_tries):
         walls = maze.walls.copy()
         picks = rng.choice(len(candidates), size=n_flips, replace=False)
@@ -88,9 +89,7 @@ def mutate_maze(maze: Maze, rng: np.random.Generator, n_flips: int,
             walls[candidates[k]] ^= True
         child = Maze(walls=walls, source=maze.source, target=maze.target)
         if task == "shortest_path":
-            try:
-                shortest_path_union(child)
-            except Unreachable:
+            if not reachable(child, maze.source, maze.target):
                 continue
         elif not np.any(~walls):
             continue

@@ -165,7 +165,7 @@ def generate_maze(cfg: GenConfig, rng: np.random.Generator | None = None,
     RNG is numpy's PCG64 (``default_rng``), seeded from ``cfg.seed`` when no
     generator is passed, so datasets reproduce across platforms.
     """
-    from .oracle import distance_map  # local import to avoid a cycle
+    from .oracle import reachable  # local import to avoid a cycle
 
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -182,7 +182,7 @@ def generate_maze(cfg: GenConfig, rng: np.random.Generator | None = None,
         s = tuple(int(v) for v in empties[pick[0]])
         t = tuple(int(v) for v in empties[pick[1]])
         maze = Maze(walls=walls, source=s, target=t)
-        if distance_map(maze, s)[t] >= 0:
+        if reachable(maze, s, t):
             return maze
     raise RetryBudgetExhausted(
         f"no valid maze after {max_attempts} attempts (config {cfg})"

@@ -115,6 +115,18 @@ def dfs_order(maze: Maze, start: tuple[int, int]) -> list[tuple[int, int]]:
         cur = nxt
 
 
+def flat_open_tiles(maze: Maze) -> tuple[list[bool], int]:
+    """The maze as one flat list of open tiles framed by walls, and its row
+    stride: a wall row above and below, and a wall column after each row,
+    which is also the wall left of the next row.  Tile (y, x) is at
+    (y + 1) * stride + x."""
+    H, W = maze.walls.shape
+    stride = W + 1
+    framed = np.zeros((H + 2, stride), dtype=bool)
+    framed[1 : H + 1, :W] = ~maze.walls
+    return framed.ravel().tolist(), stride
+
+
 def flat_distances(open_tiles: list[bool], stride: int, src: int) -> list[int]:
     """Deque BFS over a framed flat grid: moves from ``src`` to every cell,
     -1 where unreachable."""
@@ -133,6 +145,30 @@ def flat_distances(open_tiles: list[bool], stride: int, src: int) -> list[int]:
     return dist
 
 
+def reachable(maze: Maze, src: tuple[int, int], dst: tuple[int, int]) -> bool:
+    """Whether a path joins the empty tile ``src`` to ``dst``: one deque BFS
+    over ``flat_open_tiles`` that stops when it reaches ``dst``."""
+    if maze.walls[src]:
+        raise MazeError(f"distance source {src} is a wall")
+    unseen, stride = flat_open_tiles(maze)
+    s, t = (src[0] + 1) * stride + src[1], (dst[0] + 1) * stride + dst[1]
+    if s == t:
+        return True
+    unseen[s] = False
+    q = deque([s])
+    moves = (stride, 1, -stride, -1)
+    while q:
+        i = q.popleft()
+        for m in moves:
+            j = i + m
+            if unseen[j]:
+                if j == t:
+                    return True
+                unseen[j] = False
+                q.append(j)
+    return False
+
+
 def diameter_oracle(maze: Maze) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
     """Longest shortest path over all components, in tiles (= moves + 1).
 
@@ -140,13 +176,7 @@ def diameter_oracle(maze: Maze) -> tuple[int, tuple[tuple[int, int], tuple[int, 
     maximum eccentricity and v the first tile farthest from u.  One full BFS
     runs from every empty tile.
     """
-    # one flat list framed by walls: a wall row above and below, and a wall
-    # column after each row, which is also the wall left of the next row
-    H, W = maze.walls.shape
-    stride = W + 1
-    framed = np.zeros((H + 2, stride), dtype=bool)
-    framed[1 : H + 1, :W] = ~maze.walls
-    open_tiles = framed.ravel().tolist()
+    open_tiles, stride = flat_open_tiles(maze)
     if not any(open_tiles):
         raise MazeError("maze has no empty tiles")
     best_len = -1

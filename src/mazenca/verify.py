@@ -129,8 +129,14 @@ CHECKS = {
 
 
 def default_workers() -> int:
+    """Worker processes: ``NCA_THREADS`` if set, else one per CPU."""
     env = os.environ.get("NCA_THREADS")
-    return max(1, int(env)) if env else (os.cpu_count() or 1)
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise MazeError(f"NCA_THREADS must be an integer, got {env!r}") from None
 
 
 def verify_task(

@@ -200,6 +200,13 @@ def test_unreachable_target_has_no_flood_trace(tmp_path, capsys, cmd):
     assert "floods never met; no trace" in captured.err and captured.out == ""
 
 
+def test_verify_bad_thread_count_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NCA_THREADS", "abc")
+    assert main(["verify", "--task", "dfs", "--n", "1", "--size", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "NCA_THREADS must be an integer, got 'abc'\n"
+
+
 def test_verify_non_square_size_is_usage_error(capsys):
     assert main(["verify", "--task", "dfs", "--n", "1", "--size", "8x12"]) == 2
     assert "square" in capsys.readouterr().err

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazenca import dfs
 from mazenca.dfs import (
     BLOCK,
+    N_HIDDEN,
     PEBBLE,
     ROUTE,
     STACK,
@@ -17,14 +19,52 @@ from mazenca.dfs import (
     initial_state,
     run_dfs,
 )
-from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
+from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, one_hot, parse_maze
 from mazenca.oracle import dfs_order, distance_map
 from sweep import sweep_mazes
+from test_tensor import dfs_reference, naive_conv2d
 
 
 def test_weight_shapes():
     ks = build_dfs_weights()
     assert ks.weights.shape == (9, 13, 5, 5)
+
+
+def test_centre_taps_and_stamps_make_up_the_dynamic_stack():
+    # every tap of the dynamic stack that does not read ROUTE or PEBBLE, the
+    # two inputs a step adds as stamps, is a centre tap of the 1x1 stack the
+    # step convolves its window with
+    dynamic = build_dfs_weights().split(N_HIDDEN)[0].weights
+    rest = dynamic.copy()
+    rest[:, [ROUTE, PEBBLE]] = 0
+    centre = rest[:, :, 2, 2].copy()
+    rest[:, :, 2, 2] = 0
+    assert not rest.any()
+    ks = dfs._centre()
+    assert ks.k == 1 and not ks.bias.any()
+    np.testing.assert_array_equal(ks.weights[:, :, 0, 0], centre)
+    assert len(ks.taps()) == 5 and len(ks.runs()) == 3
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_stamps_are_the_conv_of_a_one_hot_tile(dtype):
+    # at every tile of a 4 x 6 grid, border tiles included, the route's and
+    # the pebble's stamp is naive_conv2d of a one-hot plane at the tile, over
+    # the whole grid and over a window of it
+    dynamic = build_dfs_weights().split(N_HIDDEN)[0]
+    H, W = 4, 6
+    for channel, stamp in zip((ROUTE, PEBBLE), dfs._stamps(np.dtype(dtype))):
+        for r in range(H):
+            for c in range(W):
+                x = np.zeros((N_HIDDEN, H, W))
+                x[channel, r, c] = 1
+                want = naive_conv2d(x, dynamic)
+                planes = np.zeros((N_HIDDEN, H, W), dtype)
+                dfs._stamp(planes, 0, 0, stamp, r, c)
+                np.testing.assert_array_equal(planes, want, str((channel, r, c)))
+                window = np.zeros((N_HIDDEN, 2, 3), dtype)
+                dfs._stamp(window, 1, 2, stamp, r, c)
+                np.testing.assert_array_equal(window, want[:, 1:3, 2:5], str((channel, r, c)))
 
 
 def walls_only(text):
@@ -204,6 +244,33 @@ def test_steps_across_block_boundaries_match_whole_grid_steps(shape, p, seed):
         expected = dfs_step(replace(prev, active=whole))
         assert np.array_equal(state.hidden, expected.hidden), state.step
         assert state.popped == expected.popped
+
+
+@pytest.mark.parametrize("shape, p, seed", [((3, 2 * BLOCK + 9), 0.2, 1),
+                                            ((2 * BLOCK + 9, 3), 0.2, 2),
+                                            ((BLOCK + 5, BLOCK + 3), 0.45, 3)])
+def test_steps_across_block_boundaries_match_the_unframed_stack(shape, p, seed):
+    # the grids above against naive_conv2d plus the per-channel activations
+    # on the whole unframed state, which share no code with the step's
+    # stamps, base or blocks
+    maze = Maze(walls=np.random.default_rng(seed).random(shape) < p)
+    seen, largest = np.zeros(shape, dtype=bool), None
+    for q in np.argwhere(~maze.walls):
+        if not seen[tuple(q)]:
+            component = distance_map(maze, tuple(int(v) for v in q)) >= 0
+            seen |= component
+            if largest is None or component.sum() > largest.sum():
+                largest = component
+    start = tuple(int(v) for v in np.argwhere(largest)[0])
+    states = []
+    assert len(run_dfs(maze, start, observe=states.append).visit_order) > BLOCK
+    ks, onehot = build_dfs_weights(), one_hot(Maze(walls=maze.walls, source=start))
+    prev = np.zeros((N_HIDDEN, *shape))
+    for state in states:
+        pre = naive_conv2d(np.concatenate([prev, onehot]), ks)
+        want = dfs_reference(pre, prev, state.popped)
+        np.testing.assert_array_equal(state.hidden, want, str(state.step))
+        prev = state.hidden
 
 
 @settings(max_examples=15, deadline=None)

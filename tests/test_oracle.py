@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca import oracle
-from mazenca.grid import GenConfig, Maze, generate_maze, parse_maze
+from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import (
     Unreachable,
     canonical_shortest_path,
@@ -12,8 +12,10 @@ from mazenca.oracle import (
     diameter_oracle,
     distance_map,
     normalized_accuracy,
+    reachable,
     shortest_path_union,
 )
+from sweep import sweep_mazes
 
 
 def test_distance_map_corridor():
@@ -157,3 +159,16 @@ def test_normalized_accuracy_clips_predictions():
 def test_normalized_accuracy_can_be_negative():
     truth = np.array([[1.0, 0.0]])
     assert normalized_accuracy(np.array([[0.0, 1.0]]), truth) == -100.0
+
+
+def test_reachable_agrees_with_distance_map():
+    # every ordered pair of tiles, walls included as targets, on grids of
+    # every shape and density
+    for maze in sweep_mazes(40, 7, seed=21):
+        empties = [tuple(int(v) for v in q) for q in np.argwhere(~maze.walls)]
+        tiles = [tuple(int(v) for v in q) for q in np.argwhere(np.ones_like(maze.walls))]
+        for src in empties:
+            dist = distance_map(maze, src)
+            assert [reachable(maze, src, dst) for dst in tiles] == [dist[t] >= 0 for t in tiles]
+    with pytest.raises(MazeError, match="wall"):
+        reachable(parse_maze("#."), (0, 0), (0, 1))

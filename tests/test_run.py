@@ -16,6 +16,8 @@ from mazenca.dfs import run_dfs
 from mazenca.extract import run_extract
 from mazenca.grid import GenConfig, generate_maze, parse_maze, render_maze
 from mazenca.loop import run
+from mazenca.tensor import KernelStack
+from test_tensor import naive_conv2d
 
 # 12 x 9 maze whose traces are pinned byte for byte; the DFS starts at S,
 # inside the largest component, so its trace pushes and pops
@@ -117,17 +119,30 @@ def _run_states(algo):
 @pytest.mark.parametrize("algo", ["bfs", "extract", "dfs"])
 def test_step_returns_a_fresh_state_and_never_writes_its_input(algo):
     # loop.run hands the previous state to the halting rule uncopied, and the
-    # trace keeps every state, so a step must not write its input
+    # trace keeps every state, so a step must not write its input.  A DFS
+    # state keeps a base in place of the constant plane, in read-only blocks
+    # like its planes: the next state's base adds the route's stamps, the
+    # conv of the tiles the step routes.
     states, step_fn = _run_states(algo)
     for state in (states[0], states[len(states) // 2]):
-        hidden, const = state.hidden.copy(), state.const.copy()
+        const = state.base if algo == "dfs" else state.const
+        hidden, const = state.hidden.copy(), const.copy()
         a, b = step_fn(state), step_fn(state)
         assert a.step == b.step == state.step + 1
         np.testing.assert_array_equal(a.hidden, b.hidden)
         assert not np.shares_memory(a.hidden, state.hidden)
         np.testing.assert_array_equal(state.hidden, hidden)
-        np.testing.assert_array_equal(state.const, const)
-        np.testing.assert_array_equal(a.const, const)
+        if algo == "dfs":
+            assert not any(block.flags.writeable for block in state.blocks + state.bases)
+            np.testing.assert_array_equal(state.base, const)
+            route = dfs.build_dfs_weights().weights[:, dfs.ROUTE : dfs.ROUTE + 1]
+            routed = a.hidden[dfs.ROUTE] - state.hidden[dfs.ROUTE]
+            stamps = naive_conv2d(routed[None], KernelStack(route, np.zeros(dfs.N_HIDDEN)))
+            assert routed.sum() <= 1
+            np.testing.assert_array_equal(a.base, const + stamps)
+        else:
+            np.testing.assert_array_equal(state.const, const)
+            np.testing.assert_array_equal(a.const, const)
 
 
 def test_static_stack_is_convolved_once_per_run(monkeypatch):
@@ -135,6 +150,10 @@ def test_static_stack_is_convolved_once_per_run(monkeypatch):
     calls = Counter()
     for module in (bfs, extract, dfs):
         dynamic, static = module._weights().split(module.N_HIDDEN)
+        if module is dfs:
+            # the DFS adds its route's and pebble's shares as stamps, and
+            # convolves only the centre taps of its dynamic stack
+            dynamic = dfs._centre()
         original = module.conv2d
 
         def counting(x, kernels, base=None, name=module.__name__, dynamic=dynamic,
