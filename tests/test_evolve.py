@@ -10,7 +10,7 @@ from mazenca.evolve import (
     run_evolution,
     solver_loss,
 )
-from mazenca.grid import GenConfig, MazeError, generate_maze, parse_maze
+from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import distance_map, shortest_path_union
 from mazenca.solvers import BudgetedNcaSolver, OracleSolver, ZerosSolver
 
@@ -71,6 +71,9 @@ def test_mutation_flip_count_validation():
         mutate_maze(maze, rng, n_flips=0)
     with pytest.raises(MazeError):
         mutate_maze(maze, rng, n_flips=maze.height * maze.width)
+    # a shortest-path maze needs both endpoints to test reachability
+    with pytest.raises(MazeError, match="source and target"):
+        mutate_maze(Maze(walls=maze.walls), rng, n_flips=1)
 
 
 def test_no_mutation_while_solver_is_failing():
