@@ -22,29 +22,31 @@ input channel's share, and only the stack channels need a conv.  The maze
 one-hot's share is the constant plane, convolved once per run.  The route
 only grows, by the pebble's tile, and the pebble is one tile, so their
 shares are stamps: the 5x5 kernels from ROUTE and from PEBBLE, flipped in
-both axes because ``tensor.conv2d`` correlates, added at a tile.  A state
+both axes because ``tensor.conv2d`` correlates, added at a tile.  A run
 keeps a base, the constant plane plus the route stamp of every routed tile;
 a step adds the pebble's stamp to its own output, and the route stamp of a
-tile it routes to the next state's base.  What is left of the conv are five
-centre taps, STACK -> ROUTE, STACK -> STACK, STACK_RANK -> STACK_RANK,
-STACK_DIR -> STACK_DIR and STACK -> STACK_RANK, which ``conv2d`` runs as a
-1x1 stack in 3 adds, pointwise over the window and from its base.
+tile it routes to the base.  What is left of the conv are five centre taps,
+STACK -> ROUTE, STACK -> STACK, STACK_RANK -> STACK_RANK, STACK_DIR ->
+STACK_DIR and STACK -> STACK_RANK, which ``conv2d`` runs as a 1x1 stack in
+3 adds, pointwise over the window and from its base.
 
-What a step reads, and what it costs.  A state stores its planes and its
-base in blocks of up to BLOCK x BLOCK cells, which states share until a step
-writes into them.  A block's ranks are as of the step that last wrote it, so
-the aging costs nothing until a step copies the block, and one add then
-brings the copy up to date.  A step reads its window of the planes and of
-the base; it writes its window and any popped tile into copies of the plane
-blocks they meet, and a routed tile's stamp into copies of the base blocks
-it meets.  It reads nothing else of either.  The pebble's tile, the popped
-tile and the stacked tiles with their pop keys are records the state keeps,
+What a step reads, and what it costs.  A run owns one 9 x H x W plane array
+and one base array, and each step writes into them in place: its window,
+the stack channels of a popped tile, and a routed tile's stamp.  Each rank
+is stored minus ``step * STACK``, as the pop keys are, so a stacked tile no
+step touches ages with no write.  A step reads its window of the planes and
+of the base and nothing else of either.  The pebble's tile, the popped tile
+and the stacked tiles with their pop keys are records the state keeps,
 updated from the window and the pops, and the stuck test, the pop read-out
-and the halting rule read those.  Up to 64 x 64 the grid is one block, and a
-step is a few dozen numpy calls on arrays of a few dozen cells, 3 of them
-the conv's adds, so its cost is per-call dispatch; a larger grid adds a few
-block copies of at most 64 x 64 cells per step, not work over the whole
-grid.
+and the halting rule read those.  A step is a few dozen numpy calls on
+arrays of a few dozen cells, 3 of them the conv's adds, so its cost is
+per-call dispatch, at every grid size.
+
+The run keeps the undo of its last step: the window it read, the popped
+tile's stack values and the routed tiles.  So a state stays readable until
+its successor is stepped, as ``loop.run``'s halting rule and a tracer around
+``dfs_step`` read it.  Reading an older state, or stepping any state but the
+run's last, raises RuntimeError, so nothing reads a wrong state.
 """
 
 from __future__ import annotations
@@ -109,21 +111,43 @@ def _w_direction() -> np.ndarray:
     return m
 
 
+class RunArrays:
+    """The 9 x H x W ``planes`` and ``base`` one run owns and steps in
+    place, the step of its last state, and the undo of its last step: the
+    window's corner and its planes as the step read them, each popped tile
+    with its stored stack values, and the routed tiles."""
+
+    def __init__(self, planes: np.ndarray, base: np.ndarray):
+        self.planes, self.base, self.step, self.undo = planes, base, 0, None
+
+    def read(self, step: int, base: bool) -> np.ndarray:
+        """A fresh copy of the planes, or of the base, as of ``step``: the
+        step of the run's last state or of the one before it."""
+        lag = self.step - step
+        if lag not in (0, 1):
+            raise RuntimeError(f"the DFS state of step {step} is {lag} steps behind its run; "
+                               "only the last state and the one before it can be read")
+        r0, c0, before, popped, routed = self.undo if lag else (0, 0, None, (), ())
+        if base:
+            out = self.base.copy()
+            for r, c in routed:
+                _stamp(out, 0, 0, -_stamps(out.dtype)[0], r, c)
+            return out
+        out = self.planes.copy()
+        for (r, c), values in popped:
+            out[STACK:PEBBLE, r, c] = values
+        out[STACK_RANK] += step * out[STACK]
+        if before is not None:
+            out[:, r0 : r0 + before.shape[1], c0 : c0 + before.shape[2]] = before
+        return out
+
+
 @dataclass(frozen=True)
 class DfsState:
-    """One state of a run.  Its planes and its base are stored as read-only
-    blocks of up to BLOCK x BLOCK cells, row-major, that states share until
-    a step writes into them.  A block's ranks are as of its epoch, the step
-    that last wrote it: a stacked tile in it has aged ``step - epoch`` more
-    since.  ``hidden`` assembles the 9 x H x W planes as of ``step``, and
-    ``base`` the 9 x H x W base."""
+    """One state of a run, whose planes and base live in the run's
+    ``arrays``.  ``hidden`` and ``base`` return fresh 9 x H x W copies."""
 
-    blocks: tuple[np.ndarray, ...]
-    epochs: tuple[int, ...]  # the step that last wrote each block
-    # the base in the same blocks: the constant plane, the maze one-hot's
-    # share of every step, plus the route stamp of every routed tile
-    bases: tuple[np.ndarray, ...]
-    shape: tuple[int, int]  # H, W
+    arrays: RunArrays = field(compare=False)
     # (rows, cols) half-open ranges of the cells the last step changed in any
     # channel but STACK_RANK; the next step recomputes only near them
     active: tuple[tuple[int, int], tuple[int, int]]
@@ -137,19 +161,15 @@ class DfsState:
     # 5 * (rank - step) + direction, which stays fixed while the tile waits
     stacked: np.ndarray = field(default_factory=lambda: _frozen(np.zeros((2, 0), np.int64)))
 
-    @functools.cached_property
+    @property
     def hidden(self) -> np.ndarray:
-        """The 9 x H x W hidden planes, assembled once and read-only."""
-        return _frozen(self._whole(base=False))
+        """The 9 x H x W hidden planes, a fresh array."""
+        return self.arrays.read(self.step, base=False)
 
-    @functools.cached_property
+    @property
     def base(self) -> np.ndarray:
-        """The 9 x H x W base, assembled once and read-only."""
-        return _frozen(self._whole(base=True))
-
-    def _whole(self, base: bool) -> np.ndarray:
-        H, W = self.shape
-        return _read(self, _pieces(W, 0, H, 0, W), (N_HIDDEN, H, W), base)
+        """The 9 x H x W base, a fresh array."""
+        return self.arrays.read(self.step, base=True)
 
 
 @dataclass
@@ -165,76 +185,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# side of the blocks a state stores its planes and base in.  A grid up to
-# 64 x 64 is one block, which every step copies in one call; a step on a
-# larger grid copies only the blocks its window and stamp meet.
-BLOCK = 64
-
-
-def _pieces(W: int, r0: int, r1: int, c0: int, c1: int) -> list:
-    """The blocks that meet cells [r0, r1) x [c0, c1): (block index, the
-    cells within the block, the same cells within the region)."""
-    R, C, per_row = r0 - r0 % BLOCK, c0 - c0 % BLOCK, -(-W // BLOCK)
-    if r1 <= R + BLOCK and c1 <= C + BLOCK:  # the common case, one block
-        return [(R // BLOCK * per_row + C // BLOCK,
-                 (slice(None), slice(r0 - R, r1 - R), slice(c0 - C, c1 - C)), ...)]
-    pieces = []
-    for R in range(R, r1, BLOCK):
-        a0, a1 = max(r0, R), min(r1, R + BLOCK)
-        for C in range(c0 - c0 % BLOCK, c1, BLOCK):
-            b0, b1 = max(c0, C), min(c1, C + BLOCK)
-            pieces.append((R // BLOCK * per_row + C // BLOCK,
-                           (slice(None), slice(a0 - R, a1 - R), slice(b0 - C, b1 - C)),
-                           (slice(None), slice(a0 - r0, a1 - r0), slice(b0 - c0, b1 - c0))))
-    return pieces
-
-
-def _age(planes: np.ndarray, steps: int) -> None:
-    """Age every stacked tile of ``planes`` by ``steps`` in place."""
-    planes[STACK_RANK] += planes[STACK] if steps == 1 else steps * planes[STACK]
-
-
-def _read(state: DfsState, pieces: list, shape: tuple, base: bool) -> np.ndarray:
-    """The region of ``shape`` that ``pieces`` cover, of the state's planes
-    as of its step or of its base: a read-only view of a block when the
-    region lies in one block that needs no aging, else a fresh array."""
-    t, blocks = state.step, state.bases if base else state.blocks
-    if len(pieces) == 1:
-        k, inner, _ = pieces[0]
-        if base or state.epochs[k] == t:
-            return blocks[k][inner]
-    out = np.empty(shape, blocks[0].dtype)
-    for k, inner, outer in pieces:
-        out[outer] = blocks[k][inner]
-        if not base and state.epochs[k] != t:
-            _age(out[outer], t - state.epochs[k])
-    return out
-
-
-def _write(state: DfsState, pieces: list, values: np.ndarray, popped) -> tuple:
-    """The blocks and epochs of the next state: ``values`` written over the
-    region ``pieces`` cover, and the stack channels zeroed at each popped
-    tile, in copies of the blocks they meet, each aged to the next step
-    before its first write and read-only after the last; the other blocks
-    are shared."""
-    W, t1 = state.shape[1], state.step + 1
-    blocks, epochs, fresh = list(state.blocks), list(state.epochs), []
-    writes = [(k, inner, values[outer]) for k, inner, outer in pieces]
-    for r, c in popped:
-        (k, (_, rows, cols), _), = _pieces(W, r, r + 1, c, c + 1)
-        writes.append((k, (slice(STACK, PEBBLE), rows, cols), 0))
-    for k, inner, value in writes:
-        if epochs[k] != t1:
-            blocks[k] = blocks[k].copy()
-            _age(blocks[k], t1 - epochs[k])
-            epochs[k] = t1
-            fresh.append(blocks[k])
-        blocks[k][inner] = value
-    for block in fresh:
-        _frozen(block)
-    return tuple(blocks), tuple(epochs)
-
-
 def _stamp(planes: np.ndarray, r0: int, c0: int, stamp: np.ndarray, r: int, c: int) -> None:
     """Add the 9 x 5 x 5 ``stamp`` centred on tile (r, c) into ``planes``,
     whose first cell is tile (r0, c0), where the two overlap."""
@@ -243,18 +193,6 @@ def _stamp(planes: np.ndarray, r0: int, c0: int, stamp: np.ndarray, r: int, c: i
     if a0 < a1 and b0 < b1:
         planes[:, a0 - r0 : a1 - r0, b0 - c0 : b1 - c0] += \
             stamp[:, a0 - r + 2 : a1 - r + 2, b0 - c + 2 : b1 - c + 2]
-
-
-def _stamped(bases: tuple, shape: tuple[int, int], r: int, c: int) -> tuple:
-    """``bases`` with the route stamp of tile (r, c) added, in read-only
-    copies of the blocks it meets; the other blocks are shared."""
-    (H, W), per_row = shape, -(-shape[1] // BLOCK)
-    bases, stamp = list(bases), _stamps(bases[0].dtype)[0]
-    for k, _, _ in _pieces(W, max(r - 2, 0), min(r + 3, H), max(c - 2, 0), min(c + 3, W)):
-        bases[k] = bases[k].copy()
-        _stamp(bases[k], k // per_row * BLOCK, k % per_row * BLOCK, stamp, r, c)
-        _frozen(bases[k])
-    return tuple(bases)
 
 
 def build_dfs_weights() -> KernelStack:
@@ -326,35 +264,29 @@ def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     the one-hot marks as the source."""
     # a rank grows by 1 per step from 0 while its tile is stacked, so ranks
     # stay below the horizon and their pre-activations below horizon + 2;
-    # other pre-activations and the base lie in [-10, 8].  Pop keys are
-    # int64 records.
+    # stored ranks lie in [-horizon, 0], and other pre-activations and the
+    # base in [-10, 8].  Pop keys are int64 records.
     dtype = int_dtype(max(horizon + 2, 10))
     onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
     framed = np.pad(onehot, ((0, 0), (2, 2), (2, 2)))
-    const = _frozen(conv2d(framed, _weights().split(N_HIDDEN)[1]))[:, 2:-2, 2:-2]
+    base = conv2d(framed, _weights().split(N_HIDDEN)[1])[:, 2:-2, 2:-2]
     H, W = maze.walls.shape
-    corners = [(r, c) for r in range(0, H, BLOCK) for c in range(0, W, BLOCK)]
-    blocks = tuple(
-        _frozen(np.zeros((N_HIDDEN, min(BLOCK, H - r), min(BLOCK, W - c)), dtype))
-        for r, c in corners
-    )
-    return DfsState(
-        blocks=blocks,
-        epochs=(0,) * len(blocks),
-        bases=tuple(const[:, r : r + BLOCK, c : c + BLOCK] for r, c in corners),
-        shape=(H, W),
-        active=((0, H), (0, W)),
-    )
+    planes = np.zeros((N_HIDDEN, H, W), dtype)
+    return DfsState(arrays=RunArrays(planes, base), active=((0, H), (0, W)))
 
 
 def dfs_step(state: DfsState) -> DfsState:
-    t, (H, W) = state.step, state.shape
+    arrays, t, (_, H, W) = state.arrays, state.step, state.arrays.planes.shape
+    if arrays.step != t:
+        raise RuntimeError(f"the DFS state of step {t} is not its run's last, "
+                           f"of step {arrays.step}; only the last state can be stepped")
     # only cells within reach 2 of the active box have changed conv inputs
     (b0, b1), (d0, d1) = state.active
     r0, r1, c0, c1 = max(b0 - 2, 0), min(b1 + 2, H), max(d0 - 2, 0), min(d1 + 2, W)
-    window, shape = _pieces(W, r0, r1, c0, c1), (N_HIDDEN, r1 - r0, c1 - c0)
-    before = _read(state, window, shape, base=False)
-    out = conv2d(before, _centre(), _read(state, window, shape, base=True))
+    window = arrays.planes[:, r0:r1, c0:c1]
+    before = window.copy()
+    before[STACK_RANK] += t * before[STACK]
+    out = conv2d(before, _centre(), arrays.base[:, r0:r1, c0:c1])
     if state.pebble is not None:
         _stamp(out, r0, c0, _stamps(out.dtype)[1], *state.pebble)
 
@@ -416,10 +348,17 @@ def dfs_step(state: DfsState) -> DfsState:
     if stacked is not state.stacked:
         _frozen(stacked)
 
-    blocks, epochs = _write(state, window, out, popped)
-    bases = state.bases
+    # write the window, the pops and the route stamps in place, ranks
+    # stored as of step t + 1, and keep what they overwrite as the undo
+    window[...] = out
+    window[STACK_RANK] -= (t + 1) * out[STACK]
+    saved = []
+    for r, c in popped:
+        saved.append(((r, c), arrays.planes[STACK:PEBBLE, r, c].copy()))
+        arrays.planes[STACK:PEBBLE, r, c] = 0
     for r, c in pebbles:
-        bases = _stamped(bases, state.shape, r, c)
+        _stamp(arrays.base, 0, 0, _stamps(out.dtype)[0], r, c)
+    arrays.step, arrays.undo = t + 1, (r0, c0, before, saved, pebbles)
 
     changed[STACK_RANK] = False
     rows, cols = np.logical_or.reduce(changed, axis=0).nonzero()
@@ -427,8 +366,7 @@ def dfs_step(state: DfsState) -> DfsState:
     cols = [c0 + c for c in cols.tolist()] + [c for _, c in popped]
     # a step that changed nothing may keep any box: its successor only ages
     active = ((min(rows), max(rows) + 1), (min(cols), max(cols) + 1)) if rows else state.active
-    return DfsState(blocks=blocks, epochs=epochs, bases=bases, shape=state.shape,
-                    active=active, step=t + 1, popped=popped,
+    return DfsState(arrays=arrays, active=active, step=t + 1, popped=popped,
                     pebble=pebbles[0] if pebbles else None, stacked=stacked)
 
 

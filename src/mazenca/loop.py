@@ -15,8 +15,8 @@ def run(step_fn: Callable, state: Any, halted: Callable, horizon: int,
         observe: Callable | None = None) -> tuple[Any, bool]:
     """Step ``state`` until ``halted(prev, state)`` holds or ``horizon``
     steps have run; returns the last state and whether the run halted.  A
-    step returns a fresh state and never writes to its input, so ``prev``
-    needs no copy."""
+    step returns a fresh state, and a state stays readable until its
+    successor is stepped, so ``prev`` needs no copy."""
     for _ in range(horizon):
         prev, state = state, step_fn(state)
         if observe is not None:

@@ -71,7 +71,9 @@ class ExternalSolver:
         self._proc: subprocess.Popen | None = None
 
     def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self.close()  # the child died or was killed: close its pipes
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -124,17 +126,23 @@ class ExternalSolver:
         return np.clip(np.array(rows, dtype=np.float64), 0.0, 1.0)
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
+        """Stop the child if it still runs, reap it, and close both of its
+        pipes."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except OSError:  # unsent input to a child that is gone
+            pass
+        if proc.poll() is None:
+            proc.terminate()
             try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
+                proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
-        self._proc = None
+                proc.kill()
+                proc.wait()
+        proc.stdout.close()
 
 
 def make_solver(spec: str):

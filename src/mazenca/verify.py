@@ -82,10 +82,11 @@ def check_dfs(args: tuple[int, int, int]) -> str | None:
 
     def invariants(state):
         nonlocal prev_route
-        n_pebbles = int(np.count_nonzero(state.hidden[PEBBLE] > 0.0))
+        hidden = state.hidden  # a fresh copy on each read
+        n_pebbles = int(np.count_nonzero(hidden[PEBBLE] > 0.0))
         if n_pebbles > 1:
             raise Mismatch(f"{n_pebbles} pebbles at step {state.step}")
-        route = state.hidden[ROUTE]
+        route = hidden[ROUTE]
         if np.any((prev_route > 0.0) & (route <= 0.0)):
             raise Mismatch(f"route lost a tile at step {state.step}")
         prev_route = route

@@ -4,6 +4,7 @@ automaton-vs-oracle tests."""
 import numpy as np
 
 from mazenca.grid import Maze
+from mazenca.oracle import distance_map
 
 WALL_PS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
@@ -28,3 +29,16 @@ def sweep_mazes(n, max_side, seed):
             walls[rng.integers(h), rng.integers(w)] = False
         mazes.append(walls)
     return [Maze(walls=w) for w in mazes]
+
+
+def largest_component_start(maze):
+    """The first tile, in row-major order, of the maze's largest connected
+    component of empty tiles, ties to the component found first."""
+    seen, largest = np.zeros(maze.walls.shape, dtype=bool), None
+    for p in np.argwhere(~maze.walls):
+        if not seen[tuple(p)]:
+            component = distance_map(maze, tuple(int(v) for v in p)) >= 0
+            seen |= component
+            if largest is None or component.sum() > largest.sum():
+                largest = component
+    return tuple(int(v) for v in np.argwhere(largest)[0])

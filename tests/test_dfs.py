@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mazenca import dfs
 from mazenca.dfs import (
-    BLOCK,
     N_HIDDEN,
     PEBBLE,
     ROUTE,
@@ -16,12 +15,13 @@ from mazenca.dfs import (
     STACK_RANK,
     build_dfs_weights,
     dfs_step,
+    drained,
     initial_state,
     run_dfs,
 )
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, one_hot, parse_maze
 from mazenca.oracle import dfs_order, distance_map
-from sweep import sweep_mazes
+from sweep import largest_component_start, sweep_mazes
 from test_tensor import dfs_reference, naive_conv2d
 
 
@@ -90,12 +90,13 @@ def test_ranks_fit_the_narrowest_dtype_on_a_long_corridor():
     # visits, one pop, the drained step) gives the bound 125 + 2 = 127, so
     # the planes are int8, and the rank must not wrap.
     n = 123
-    states = []
-    trace = run_dfs(walls_only("." * n), (0, 1), max_steps=n + 2, observe=states.append)
+    planes = []
+    trace = run_dfs(walls_only("." * n), (0, 1), max_steps=n + 2,
+                    observe=lambda state: planes.append(state.hidden))
     assert trace.visit_order == [(0, c) for c in range(1, n)] + [(0, 0)]
     assert trace.steps_used == n + 2
-    assert {state.hidden.dtype for state in states} == {np.dtype(np.int8)}
-    ranks = [int(state.hidden[STACK_RANK, 0, 0]) for state in states]
+    assert {hidden.dtype for hidden in planes} == {np.dtype(np.int8)}
+    ranks = [int(hidden[STACK_RANK, 0, 0]) for hidden in planes]
     assert max(ranks) == n - 3 and min(ranks) == 0
 
 
@@ -185,29 +186,26 @@ def test_visit_order_matches_oracle_at_the_benchmark_top_size():
     assert_step_timing(trace)
 
 
-def test_active_box_steps_match_whole_grid_steps():
-    # the reference steps the same state with its active box widened to the
-    # whole grid, so every cell is recomputed
-    for i, maze in enumerate(sweep_mazes(1000, 12, seed=99)):
+# (shape, wall probability, seed) of grids whose runs reach far along one
+# axis or across a grid wider than the sweeps'
+THIN_AND_WIDE = [((3, 137), 0.2, 1), ((137, 3), 0.2, 2), ((69, 67), 0.45, 3)]
+
+
+def sweep_and_thin_and_wide_runs(n, seed):
+    """(maze, start): ``n`` sweep mazes, each from one of its empty tiles,
+    then the thin and wide grids, each from the first tile of its largest
+    component."""
+    for i, maze in enumerate(sweep_mazes(n, 12, seed=seed)):
         empties = np.argwhere(~maze.walls)
-        start = tuple(int(v) for v in empties[i % len(empties)])
-        boxed = []
-        run_dfs(maze, start, observe=boxed.append)
-        whole = ((0, maze.height), (0, maze.width))
-        state = initial_state(maze, start, 2 * len(empties))
-        assert state.active == whole
-        for expected in boxed:
-            state = dfs_step(replace(state, active=whole))
-            assert state.step == expected.step
-            assert state.hidden.dtype == expected.hidden.dtype
-            assert np.array_equal(state.hidden, expected.hidden), (i, state.step)
-            assert np.array_equal(state.popped, expected.popped), (i, state.step)
+        yield maze, tuple(int(v) for v in empties[i % len(empties)])
+    for shape, p, grid_seed in THIN_AND_WIDE:
+        maze = Maze(walls=np.random.default_rng(grid_seed).random(shape) < p)
+        yield maze, largest_component_start(maze)
 
 
-def assert_records_match_planes(state):
+def assert_records_match_planes(state, hidden):
     """The pebble and the stacked tiles with their pop keys, as the state
-    records them, are what its planes hold."""
-    hidden = state.hidden
+    records them, are what its planes ``hidden`` hold."""
     pebbles = [tuple(int(v) for v in p) for p in np.argwhere(hidden[PEBBLE])]
     assert state.pebble == (pebbles[0] if pebbles else None)
     tiles = np.flatnonzero(hidden[STACK])
@@ -217,60 +215,86 @@ def assert_records_match_planes(state):
     assert np.array_equal(state.stacked[1][order], 5 * (rank.astype(np.int64) - state.step) + code)
 
 
-@pytest.mark.parametrize("shape, p, seed", [((3, 2 * BLOCK + 9), 0.2, 1),
-                                            ((2 * BLOCK + 9, 3), 0.2, 2),
-                                            ((BLOCK + 5, BLOCK + 3), 0.45, 3)])
-def test_steps_across_block_boundaries_match_whole_grid_steps(shape, p, seed):
-    # grids of more than one block: each state's planes and records against
-    # a whole-grid step of its predecessor, as in the active-box test
-    rng = np.random.default_rng(seed)
-    maze = Maze(walls=rng.random(shape) < p)
-    seen, largest = np.zeros(shape, dtype=bool), None
-    for q in np.argwhere(~maze.walls):
-        if not seen[tuple(q)]:
-            component = distance_map(maze, tuple(int(v) for v in q)) >= 0
-            seen |= component
-            if largest is None or component.sum() > largest.sum():
-                largest = component
-    start = tuple(int(v) for v in np.argwhere(largest)[0])
-    states = []
-    trace = run_dfs(maze, start, observe=states.append)
-    assert trace.visit_order == dfs_order(maze, start)
-    assert len(trace.visit_order) > BLOCK
-    whole = ((0, maze.height), (0, maze.width))
-    for prev, state in zip([initial_state(maze, start, 2 * int((~maze.walls).sum()))] + states,
-                           states):
-        assert_records_match_planes(state)
-        expected = dfs_step(replace(prev, active=whole))
-        assert np.array_equal(state.hidden, expected.hidden), state.step
-        assert state.popped == expected.popped
+def test_active_box_steps_match_whole_grid_steps():
+    # the reference steps the same state with its active box widened to the
+    # whole grid, so every cell is recomputed; each state's planes and pops
+    # against it, and its records against its planes, on the sweep and on
+    # the thin and wide grids
+    for i, (maze, start) in enumerate(sweep_and_thin_and_wide_runs(1000, 99)):
+        boxed = []
+
+        def observe(state):
+            hidden = state.hidden
+            assert_records_match_planes(state, hidden)
+            boxed.append((state.step, hidden, state.popped))
+
+        trace = run_dfs(maze, start, observe=observe)
+        assert trace.visit_order == dfs_order(maze, start)
+        whole = ((0, maze.height), (0, maze.width))
+        state = initial_state(maze, start, 2 * int((~maze.walls).sum()))
+        assert state.active == whole
+        for t, hidden, popped in boxed:
+            state = dfs_step(replace(state, active=whole))
+            expected = state.hidden
+            assert state.step == t
+            assert expected.dtype == hidden.dtype
+            assert np.array_equal(expected, hidden), (i, t)
+            assert state.popped == popped, (i, t)
 
 
-@pytest.mark.parametrize("shape, p, seed", [((3, 2 * BLOCK + 9), 0.2, 1),
-                                            ((2 * BLOCK + 9, 3), 0.2, 2),
-                                            ((BLOCK + 5, BLOCK + 3), 0.45, 3)])
-def test_steps_across_block_boundaries_match_the_unframed_stack(shape, p, seed):
-    # the grids above against naive_conv2d plus the per-channel activations
-    # on the whole unframed state, which share no code with the step's
-    # stamps, base or blocks
-    maze = Maze(walls=np.random.default_rng(seed).random(shape) < p)
-    seen, largest = np.zeros(shape, dtype=bool), None
-    for q in np.argwhere(~maze.walls):
-        if not seen[tuple(q)]:
-            component = distance_map(maze, tuple(int(v) for v in q)) >= 0
-            seen |= component
-            if largest is None or component.sum() > largest.sum():
-                largest = component
-    start = tuple(int(v) for v in np.argwhere(largest)[0])
-    states = []
-    assert len(run_dfs(maze, start, observe=states.append).visit_order) > BLOCK
-    ks, onehot = build_dfs_weights(), one_hot(Maze(walls=maze.walls, source=start))
-    prev = np.zeros((N_HIDDEN, *shape))
-    for state in states:
-        pre = naive_conv2d(np.concatenate([prev, onehot]), ks)
-        want = dfs_reference(pre, prev, state.popped)
-        np.testing.assert_array_equal(state.hidden, want, str(state.step))
-        prev = state.hidden
+def test_thin_and_wide_grids_match_the_unframed_stack():
+    # the thin and wide grids against naive_conv2d plus the per-channel
+    # activations on the whole unframed state, which share no code with the
+    # step's stamps, base or window
+    for shape, p, seed in THIN_AND_WIDE:
+        maze = Maze(walls=np.random.default_rng(seed).random(shape) < p)
+        start = largest_component_start(maze)
+        states = []
+        trace = run_dfs(maze, start,
+                        observe=lambda state: states.append((state.hidden, state.popped)))
+        assert len(trace.visit_order) > 64
+        ks, onehot = build_dfs_weights(), one_hot(Maze(walls=maze.walls, source=start))
+        prev = np.zeros((N_HIDDEN, *shape))
+        for t, (hidden, popped) in enumerate(states, start=1):
+            pre = naive_conv2d(np.concatenate([prev, onehot]), ks)
+            want = dfs_reference(pre, prev, popped)
+            np.testing.assert_array_equal(hidden, want, str((shape, t)))
+            prev = hidden
+
+
+def test_a_state_reads_the_same_one_step_late_and_no_later():
+    # loop.run's halting rule and a tracer wrapped around dfs_step read a
+    # state after its successor is stepped.  Read so, one step late, each
+    # state's planes and base equal their copies read while it was the
+    # run's last; two steps late, reading or stepping it raises, and so
+    # does stepping any state but the run's last.
+    outside = 0
+    for maze, start in sweep_and_thin_and_wide_runs(300, 5):
+        horizon = 2 * int((~maze.walls).sum())
+        state, older = initial_state(maze, start, horizon), None
+        current = state.hidden, state.base
+        for _ in range(horizon):
+            successor = dfs_step(state)
+            np.testing.assert_array_equal(state.hidden, current[0], str(state.step))
+            np.testing.assert_array_equal(state.base, current[1], str(state.step))
+            with pytest.raises(RuntimeError, match="last state"):
+                dfs_step(state)
+            if older is not None:
+                for read in (lambda: older.hidden, lambda: older.base, lambda: dfs_step(older)):
+                    with pytest.raises(RuntimeError):
+                        read()
+            (b0, b1), (d0, d1) = state.active
+            for r, c in successor.popped:
+                outside += not (b0 - 2 <= r < b1 + 2 and d0 - 2 <= c < d1 + 2)
+            if drained(state, successor):
+                break
+            older, state = state, successor
+            current = state.hidden, state.base
+        else:
+            raise AssertionError("the run did not drain")
+    # pops of a tile outside the popping step's window, which the undo
+    # restores apart from the window
+    assert outside > 100
 
 
 @settings(max_examples=15, deadline=None)

@@ -109,40 +109,56 @@ def _run_states(algo):
     if algo == "bfs":
         run_bfs(maze, observe=states.append)
         return states, bfs.bfs_step
-    if algo == "extract":
-        run_extract(run_bfs(maze), observe=states.append)
-        return states, extract.extract_step
-    run_dfs(maze, (8, 3), observe=states.append)
-    return states, dfs.dfs_step
+    run_extract(run_bfs(maze), observe=states.append)
+    return states, extract.extract_step
 
 
-@pytest.mark.parametrize("algo", ["bfs", "extract", "dfs"])
+@pytest.mark.parametrize("algo", ["bfs", "extract"])
 def test_step_returns_a_fresh_state_and_never_writes_its_input(algo):
     # loop.run hands the previous state to the halting rule uncopied, and the
-    # trace keeps every state, so a step must not write its input.  A DFS
-    # state keeps a base in place of the constant plane, in read-only blocks
-    # like its planes: the next state's base adds the route's stamps, the
-    # conv of the tiles the step routes.
+    # trace keeps every state, so a flood or extraction step must not write
+    # its input
     states, step_fn = _run_states(algo)
     for state in (states[0], states[len(states) // 2]):
-        const = state.base if algo == "dfs" else state.const
-        hidden, const = state.hidden.copy(), const.copy()
+        hidden, const = state.hidden.copy(), state.const.copy()
         a, b = step_fn(state), step_fn(state)
         assert a.step == b.step == state.step + 1
         np.testing.assert_array_equal(a.hidden, b.hidden)
         assert not np.shares_memory(a.hidden, state.hidden)
         np.testing.assert_array_equal(state.hidden, hidden)
-        if algo == "dfs":
-            assert not any(block.flags.writeable for block in state.blocks + state.bases)
-            np.testing.assert_array_equal(state.base, const)
-            route = dfs.build_dfs_weights().weights[:, dfs.ROUTE : dfs.ROUTE + 1]
-            routed = a.hidden[dfs.ROUTE] - state.hidden[dfs.ROUTE]
-            stamps = naive_conv2d(routed[None], KernelStack(route, np.zeros(dfs.N_HIDDEN)))
-            assert routed.sum() <= 1
-            np.testing.assert_array_equal(a.base, const + stamps)
-        else:
-            np.testing.assert_array_equal(state.const, const)
-            np.testing.assert_array_equal(a.const, const)
+        np.testing.assert_array_equal(state.const, const)
+        np.testing.assert_array_equal(a.const, const)
+
+
+def test_a_dfs_state_stays_readable_until_its_successor_is_stepped():
+    # A DFS run writes its planes and its base in place and keeps the undo
+    # of its last step, so loop.run can hand the previous state to the
+    # halting rule uncopied: a state reads the same until its successor is
+    # stepped, and only the run's last state can be stepped.  The base of
+    # the next state adds the route's stamps, the conv of the tiles the step
+    # routes.
+    maze, start = parse_maze(GOLDEN_MAZE), (8, 3)
+    n = run_dfs(maze, start).steps_used
+    state = dfs.initial_state(maze, start, 2 * int((~maze.walls).sum()))
+    route = dfs.build_dfs_weights().weights[:, dfs.ROUTE : dfs.ROUTE + 1]
+    route = KernelStack(route, np.zeros(dfs.N_HIDDEN))
+    for _ in range(n):
+        hidden, const = state.hidden, state.base
+        a = dfs.dfs_step(state)
+        assert a.step == state.step + 1
+        assert not np.shares_memory(a.hidden, state.hidden)
+        np.testing.assert_array_equal(state.hidden, hidden)
+        np.testing.assert_array_equal(state.base, const)
+        routed = a.hidden[dfs.ROUTE] - hidden[dfs.ROUTE]
+        assert routed.sum() <= 1
+        np.testing.assert_array_equal(a.base, const + naive_conv2d(routed[None], route))
+        with pytest.raises(RuntimeError, match="last state"):
+            dfs.dfs_step(state)
+        state, prev = a, state
+    dfs.dfs_step(state)
+    for read in (lambda: prev.hidden, lambda: prev.base):
+        with pytest.raises(RuntimeError, match="2 steps behind"):
+            read()
 
 
 def test_static_stack_is_convolved_once_per_run(monkeypatch):

@@ -1,5 +1,8 @@
+import gc
+import shlex
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +158,35 @@ def test_external_dead_child(tmp_path):
             solver.solve(MAZE)
     finally:
         solver.close()
+
+
+def test_external_solver_leaves_no_pipe_open(tmp_path, monkeypatch):
+    # An unclosed pipe warns when it is collected.  Under the "error" filter
+    # the warning is raised in the pipe's __del__, which hands it to
+    # sys.unraisablehook.  Close a working child, and replace a dead one
+    # twice before closing its third copy.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    dead = tmp_path / "dead.py"
+    dead.write_text("import sys; sys.exit(3)\n")
+    zeros = stub_child(tmp_path, """\
+        for _ in range(H):
+            print(" ".join(["0.0"] * W))
+        print("END")
+        """)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        solver = make_solver("cmd:" + shlex.join(zeros))
+        np.testing.assert_array_equal(solver.solve(MAZE), np.zeros((3, 5)))
+        solver.close()
+        solver = ExternalSolver([sys.executable, str(dead)])
+        for _ in range(3):
+            with pytest.raises(SolverProtocolError):
+                solver.solve(MAZE)
+        solver.close()
+        del solver
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
 
 
 def test_make_solver_specs():

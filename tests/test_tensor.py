@@ -303,8 +303,8 @@ def test_framed_states_keep_a_zero_border_and_step_the_unframed_stack(monkeypatc
     # Every state of every automaton over shapes and wall densities: the
     # frame's border and the canvas's gutter rows hold zero, and the interior
     # is one step of the whole stack, naive_conv2d plus the activations, on
-    # the unframed state before it.  A DFS state stores no border: its crops
-    # are framed as they are read.
+    # the unframed state before it.  A DFS run stores no border, and its
+    # states are read as the observer sees them.
     canvas, original = [], diameter.bfs_step
 
     def canvas_step(state):
@@ -345,14 +345,14 @@ def test_framed_states_keep_a_zero_border_and_step_the_unframed_stack(monkeypatc
 
         start = empties[i % len(empties)]
         states = []
-        run_dfs(maze, start, observe=states.append)
+        run_dfs(maze, start, observe=lambda state: states.append((state.hidden, state.popped)))
         onehot = one_hot(Maze(walls=maze.walls, source=start))
         prev = np.zeros((dfs.N_HIDDEN, H, W))
-        for state in states:
+        for t, (hidden, popped) in enumerate(states, start=1):
             pre = naive_conv2d(np.concatenate([prev, onehot]), dfs_ks)
-            want = dfs_reference(pre, prev, state.popped)
-            np.testing.assert_array_equal(state.hidden, want, f"{i} {state.step}")
-            prev = state.hidden
+            want = dfs_reference(pre, prev, popped)
+            np.testing.assert_array_equal(hidden, want, f"{i} {t}")
+            prev = hidden
 
         # the canvas's first constant plane against its one-hot, then every
         # step from the constant plane its copies carry
