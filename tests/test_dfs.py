@@ -215,51 +215,65 @@ def assert_records_match_planes(state, hidden):
     assert np.array_equal(state.stacked[1][order], 5 * (rank.astype(np.int64) - state.step) + code)
 
 
+def assert_steps_match_whole_grid_steps(maze, start):
+    """Each state of the run's planes and pops against the same state
+    stepped with its active box widened to the whole grid, so every cell is
+    recomputed, and its records against its planes."""
+    boxed = []
+
+    def observe(state):
+        hidden = state.hidden
+        assert_records_match_planes(state, hidden)
+        boxed.append((state.step, hidden, state.popped))
+
+    trace = run_dfs(maze, start, observe=observe)
+    assert trace.visit_order == dfs_order(maze, start)
+    whole = ((0, maze.height), (0, maze.width))
+    state = initial_state(maze, start, 2 * int((~maze.walls).sum()))
+    assert state.active == whole
+    for t, hidden, popped in boxed:
+        state = dfs_step(replace(state, active=whole))
+        expected = state.hidden
+        assert state.step == t
+        assert expected.dtype == hidden.dtype
+        assert np.array_equal(expected, hidden), t
+        assert state.popped == popped, t
+    return trace
+
+
 def test_active_box_steps_match_whole_grid_steps():
-    # the reference steps the same state with its active box widened to the
-    # whole grid, so every cell is recomputed; each state's planes and pops
-    # against it, and its records against its planes, on the sweep and on
-    # the thin and wide grids
-    for i, (maze, start) in enumerate(sweep_and_thin_and_wide_runs(1000, 99)):
-        boxed = []
-
-        def observe(state):
-            hidden = state.hidden
-            assert_records_match_planes(state, hidden)
-            boxed.append((state.step, hidden, state.popped))
-
-        trace = run_dfs(maze, start, observe=observe)
-        assert trace.visit_order == dfs_order(maze, start)
-        whole = ((0, maze.height), (0, maze.width))
-        state = initial_state(maze, start, 2 * int((~maze.walls).sum()))
-        assert state.active == whole
-        for t, hidden, popped in boxed:
-            state = dfs_step(replace(state, active=whole))
-            expected = state.hidden
-            assert state.step == t
-            assert expected.dtype == hidden.dtype
-            assert np.array_equal(expected, hidden), (i, t)
-            assert state.popped == popped, (i, t)
+    for i, maze in enumerate(sweep_mazes(1000, 12, seed=99)):
+        empties = np.argwhere(~maze.walls)
+        assert_steps_match_whole_grid_steps(maze, tuple(int(v) for v in empties[i % len(empties)]))
 
 
-def test_thin_and_wide_grids_match_the_unframed_stack():
+@pytest.mark.parametrize("shape, p, seed", THIN_AND_WIDE)
+def test_steps_across_block_boundaries_match_whole_grid_steps(shape, p, seed):
+    # runs whose active boxes travel far along one axis or across a grid
+    # wider than the sweeps', checked as in the active-box test
+    maze = Maze(walls=np.random.default_rng(seed).random(shape) < p)
+    trace = assert_steps_match_whole_grid_steps(maze, largest_component_start(maze))
+    assert len(trace.visit_order) > 64
+
+
+@pytest.mark.parametrize("shape, p, seed", THIN_AND_WIDE)
+def test_steps_across_block_boundaries_match_the_unframed_stack(shape, p, seed):
     # the thin and wide grids against naive_conv2d plus the per-channel
     # activations on the whole unframed state, which share no code with the
     # step's stamps, base or window
-    for shape, p, seed in THIN_AND_WIDE:
-        maze = Maze(walls=np.random.default_rng(seed).random(shape) < p)
-        start = largest_component_start(maze)
-        states = []
-        trace = run_dfs(maze, start,
-                        observe=lambda state: states.append((state.hidden, state.popped)))
-        assert len(trace.visit_order) > 64
-        ks, onehot = build_dfs_weights(), one_hot(Maze(walls=maze.walls, source=start))
-        prev = np.zeros((N_HIDDEN, *shape))
-        for t, (hidden, popped) in enumerate(states, start=1):
-            pre = naive_conv2d(np.concatenate([prev, onehot]), ks)
-            want = dfs_reference(pre, prev, popped)
-            np.testing.assert_array_equal(hidden, want, str((shape, t)))
-            prev = hidden
+    maze = Maze(walls=np.random.default_rng(seed).random(shape) < p)
+    start = largest_component_start(maze)
+    states = []
+    trace = run_dfs(maze, start,
+                    observe=lambda state: states.append((state.hidden, state.popped)))
+    assert len(trace.visit_order) > 64
+    ks, onehot = build_dfs_weights(), one_hot(Maze(walls=maze.walls, source=start))
+    prev = np.zeros((N_HIDDEN, *shape))
+    for t, (hidden, popped) in enumerate(states, start=1):
+        pre = naive_conv2d(np.concatenate([prev, onehot]), ks)
+        want = dfs_reference(pre, prev, popped)
+        np.testing.assert_array_equal(hidden, want, str(t))
+        prev = hidden
 
 
 def test_a_state_reads_the_same_one_step_late_and_no_later():
