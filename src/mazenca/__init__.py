@@ -17,7 +17,7 @@ from .dataset import (
     write_trace,
 )
 from .dfs import DfsTrace, run_dfs
-from .diameter import DiameterRun, diameter_nca, schedule_dijkstra_calls
+from .diameter import DiameterRun, diameter_batch, diameter_nca, schedule_dijkstra_calls
 from .evolve import EvolutionConfig, GenerationStats, label_maze, run_evolution
 from .extract import ExtractResult, ExtractionFailed, run_extract
 from .grid import (
@@ -73,6 +73,7 @@ __all__ = [
     "ZerosSolver",
     "canonical_shortest_path",
     "dfs_order",
+    "diameter_batch",
     "diameter_nca",
     "diameter_oracle",
     "distance_map",

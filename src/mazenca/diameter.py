@@ -5,18 +5,21 @@ eccentricity(u) + 1 at u itself (the longest shortest path ending at u, in
 tiles).  The paper launches one such flood per tile from a DFS and staggers
 them on shared channels, with per-launch waiting times, so that they never
 collide.  Here a canvas stands in for that schedule: every flood gets its own
-copy of the maze, the copies are stacked along the row axis of one tensor in
+copy of its maze, the copies are stacked along the row axis of one tensor in
 the flood's integer dtype with a row of walls between neighbours, and each
-conv step advances all of them at once.  A wall row never floods and its age
-stays 0, so it isolates the copies exactly as zero padding isolates a single
-run.  The canvas keeps a single flood's one-cell border, so each copy's rows
-and its gutter row are contiguous and the copies are a reshape of it.  A
-copy whose flood stopped changing has reached its fixpoint
-(``bfs.flood_fixpoint``); its source age and its farthest tile are read and
-the copy leaves the canvas, a take along the copy axis, so later steps pay
-only for live floods.  The canvas's constant plane is built once; a leaving
-copy's rows are dropped from it, which is exact because every static flood
-tap is a centre tap.
+conv step advances all of them at once.  A canvas holds floods from several
+mazes of one shape, each copy tagged with its maze.  A wall row never floods
+and its age stays 0, so it isolates the copies exactly as zero padding
+isolates a single run.  The canvas keeps a single flood's one-cell border, so
+each copy's rows and its gutter row are contiguous and the copies are a
+reshape of it.  A copy whose flood stopped changing has reached its fixpoint
+(``bfs.flood_fixpoint``); its source age, its farthest tile and its bounds
+are read at that step and the copy is masked out.  It stays at its fixpoint,
+so it rides along until at least half of the canvas has settled; then the
+settled copies leave, a take along the copy axis, so later steps pay only for
+live floods.  The canvas's constant plane is built once; a leaving copy's
+rows are dropped from it, which is exact because every static flood tap is a
+centre tap.
 
 Only the tiles that could still hold the diameter flood, as in Takes and
 Kosters' BoundingDiameters (CIKM 2011).  A settled flood from u gives the
@@ -26,14 +29,18 @@ corner tile, an empty tile with a wall or the border above it and to its
 left; the row-major first tile of each component is one, so every tile has
 a bound after it.  Each later round floods the unflooded tiles whose bound
 beats the best eccentricity found, or ties it from an earlier tile in
-row-major order, until none is left.  The endpoints and the witness are
-those of the exhaustive canvas: the first row-major tile of greatest
-eccentricity is always flooded.
+row-major order, until none is left.  ``diameter_batch`` runs these rounds
+for a batch of mazes in lockstep: each round floods every maze's remaining
+tiles on the same canvases, and a maze drops out once nothing is left for it
+to flood; its rounds, floods and answer are those of a batch of one.  The
+endpoints and the witness are those of the exhaustive canvas: the first
+row-major tile of greatest eccentricity is always flooded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +58,7 @@ from .bfs import (
 )
 from .dfs import DfsTrace
 from .extract import run_extract
-from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError, one_hot
+from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError
 
 # canvas rows x columns per flood run; larger mazes split their tiles over
 # several runs so memory stays near 100 MB
@@ -87,111 +94,173 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
-def _keep(frame: np.ndarray, m: int, keep: np.ndarray) -> np.ndarray:
-    """The canvas frame with only the copies ``keep`` of its ``m``."""
-    C, _, Wp = frame.shape
-    kept = frame[:, 1:-1].reshape(C, m, -1, Wp).take(keep, axis=1).reshape(C, -1, Wp)
-    return np.concatenate((frame[:, :1], kept, frame[:, -1:]), axis=1)
+def _keep(frame: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The canvas frame with only the copies where ``keep`` (one bool per
+    copy) holds, its border rows included, in one new array."""
+    rows = np.repeat(keep, (frame.shape[1] - 2) // len(keep))
+    return np.compress(np.concatenate(([True], rows, [True])), frame, axis=1)
 
 
-def source_ages(maze: Maze, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-source floods from every tile in ``tiles`` (n x 2, empty
-    tiles), all on one canvas, each run to its fixpoint.  Returns the age at
-    each flood's own source (eccentricity + 1), each flood's farthest tile
-    (n x 2): the flooded tile with the least age, row-major first, and an
-    H x W upper bound on every tile's eccentricity + 1.
+def _step(state: BfsState, m: int) -> tuple[BfsState, np.ndarray]:
+    """One canvas step, and which of its ``m`` copies it left at their
+    fixpoint.  The state before it is not kept: a canvas holds two frames at
+    most."""
+    new = bfs_step(state)
+    return new, flood_fixpoint(state, new, m)
 
-    A settled flood from u has AGE(v) = AGE(u) - d(u, v) on every tile v it
-    reached, so ecc(v) + 1 <= ecc(u) + d(u, v) + 1 = 2 AGE(u) - AGE(v).  The
-    bound is the least of these over the floods, NO_BOUND on tiles that none
-    reached."""
-    H, W = maze.walls.shape
-    dtype = flood_dtype(H, W)
-    rows, cols = tiles[:, 0], tiles[:, 1]
+
+def _read_settled(
+    frame: np.ndarray, settled: np.ndarray, tiles: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The floods of the canvas copies where ``settled`` holds, from
+    ``tiles`` (s x 3): each source's age and each flood's farthest tile.
+    Each flood's bounds on its maze's tiles are folded into ``upper`` (one
+    flat plane per maze)."""
+    which, rows, cols = tiles.T
+    m, W = len(settled), frame.shape[2] - 2
+    # each copy's rows end with its wall row
+    hidden = frame[:, 1:-1].reshape(N_HIDDEN, m, -1, W + 2)[:, settled, :-1, 1:-1]
+    flood_ages = hidden[AGE].reshape(len(tiles), -1)
+    flooded = hidden[FLOOD_S].reshape(len(tiles), -1) > 0
+    ages = flood_ages[np.arange(len(tiles)), rows * W + cols].astype(np.int64)
+    flat = np.argmin(np.where(flooded, flood_ages, np.iinfo(frame.dtype).max), axis=1)
+    bound = 2 * ages[:, None] - flood_ages
+    bound[~flooded] = NO_BOUND
+    np.minimum.at(upper, which, bound)
+    return ages, np.stack(np.divmod(flat, W), axis=1)
+
+
+def _canvas_plane(mazes: Sequence[Maze], tiles: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Constant plane of a canvas with one copy of maze ``m`` per tile
+    (m, row, column), that tile its source, and a wall row after each copy.
+    The plane's values are flood pre-activations of the one-hot alone, in
+    [-6, 1], so it is built in int8 and cast to ``dtype`` once, which keeps
+    the canvas-sized arrays of the build at one byte a cell."""
+    H, W = mazes[0].walls.shape
+    which, rows, cols = tiles.T
     n = len(tiles)
-    onehot = np.zeros((4, n, H + 1, W), dtype=dtype)
-    onehot[:, :, :H] = one_hot(Maze(walls=maze.walls))[:, None]
+    walls = np.stack([maze.walls for maze in mazes])
+    onehot = np.zeros((4, n, H + 1, W), dtype=np.int8)
+    onehot[CH_WALL, :, :H] = walls[which]
+    onehot[CH_EMPTY, :, :H] = 1 - onehot[CH_WALL, :, :H]
     onehot[CH_WALL, :, H] = 1
     onehot[CH_SOURCE, np.arange(n), rows, cols] = 1
     onehot[CH_EMPTY, np.arange(n), rows, cols] = 0
-    const = flood_plane(onehot.reshape(4, -1, W))
+    return flood_plane(onehot.reshape(4, -1, W)).astype(dtype)
+
+
+def source_ages(
+    mazes: Sequence[Maze], tiles: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-source floods from every tile in ``tiles`` (n x 3: the index
+    of its maze in ``mazes``, row, column; empty tiles of same-shape mazes),
+    all on one canvas, each run to its fixpoint.  Returns the age at each
+    flood's own source (eccentricity + 1), each flood's farthest tile (n x
+    2): the flooded tile with the least age, row-major first, and a k x H x W
+    upper bound on every tile's eccentricity + 1 in each of the k mazes.
+
+    A settled flood from u has AGE(v) = AGE(u) - d(u, v) on every tile v it
+    reached, so ecc(v) + 1 <= ecc(u) + d(u, v) + 1 = 2 AGE(u) - AGE(v).  The
+    bound is the least of these over the maze's floods, NO_BOUND on tiles
+    that none reached."""
+    H, W = mazes[0].walls.shape
+    dtype = flood_dtype(H, W)
+    n = len(tiles)
+    const = _canvas_plane(mazes, tiles, dtype)
     state = BfsState(frame=np.zeros_like(const), const=const)
 
     ages = np.zeros(n, dtype=np.int64)
     far = np.zeros((n, 2), dtype=np.int64)
-    upper = np.full(H * W, NO_BOUND, dtype=np.int64)
+    upper = np.full((len(mazes), H * W), NO_BOUND, dtype=np.int64)
     live = np.arange(n)  # canvas copy j floods from tiles[live[j]]
+    read = np.zeros(n, dtype=bool)  # canvas copy j settled and was read
+    n_read = 0
     for _ in range(flood_horizon(H, W)):
-        prev, state = state, bfs_step(state)
-        m = len(live)
-        settled = flood_fixpoint(prev, state, m)
-        if settled.any():
-            hidden = state.frame[:, 1:-1].reshape(N_HIDDEN, m, H + 1, W + 2)
-            done, copies = live[settled], np.flatnonzero(settled)
-            ages[done] = hidden[AGE, copies, rows[done], cols[done] + 1]
-            flood_ages = hidden[AGE, copies, :H, 1:-1].reshape(len(copies), -1)
-            flooded = hidden[FLOOD_S, copies, :H, 1:-1].reshape(len(copies), -1) > 0
-            flat = np.argmin(np.where(flooded, flood_ages, np.iinfo(dtype).max), axis=1)
-            far[done] = np.stack(np.divmod(flat, W), axis=1)
-            bound = np.where(flooded, 2 * ages[done, None] - flood_ages, NO_BOUND)
-            np.minimum(upper, bound.min(axis=0), out=upper)
-            keep = np.flatnonzero(~settled)
-            live = live[keep]
-            if not live.size:
-                return ages, far, upper.reshape(H, W)
-            state = BfsState(frame=_keep(state.frame, m, keep),
-                             const=_keep(state.const, m, keep), step=state.step)
-    raise MazeError(f"{len(live)} floods did not settle within {flood_horizon(H, W)} steps")
+        state, settled = _step(state, len(live))
+        settled &= ~read
+        if not settled.any():
+            continue
+        done = live[settled]
+        ages[done], far[done] = _read_settled(state.frame, settled, tiles[done], upper)
+        read |= settled
+        n_read += len(done)
+        if n_read == n:
+            return ages, far, upper.reshape(-1, H, W)
+        # a settled copy stays at its fixpoint, so it can ride along until
+        # half of the canvas has settled and dropping them pays for the copy
+        if 2 * np.count_nonzero(read) >= len(live):
+            keep = ~read
+            live, read = live[keep], read[keep]
+            state = BfsState(frame=_keep(state.frame, keep),
+                             const=_keep(state.const, keep), step=state.step)
+    raise MazeError(f"{n - n_read} floods did not settle within {flood_horizon(H, W)} steps")
 
 
-def diameter_nca(maze: Maze) -> DiameterRun:
-    H, W = maze.walls.shape
-    empty = ~maze.walls
-    if not empty.any():
+def diameter_batch(mazes: Sequence[Maze]) -> list[DiameterRun]:
+    """``diameter_nca`` of every maze in ``mazes`` (one shape), with the
+    bounding rounds run in lockstep: each round floods every maze's
+    remaining tiles on shared canvases."""
+    if not mazes:
+        return []
+    H, W = mazes[0].walls.shape
+    if any(maze.walls.shape != (H, W) for maze in mazes):
+        raise MazeError("a diameter batch needs mazes of one shape")
+    k = len(mazes)
+    walls = np.stack([maze.walls for maze in mazes])
+    empty = ~walls
+    if not empty.reshape(k, -1).any(axis=1).all():
         raise MazeError("maze has no empty tiles")
 
     # first round: every empty tile with a wall or the border above it and to
     # its left; the row-major first tile of each component is one of them
-    framed = np.pad(maze.walls, ((1, 0), (1, 0)), constant_values=True)
-    todo = empty & framed[:-1, 1:] & framed[1:, :-1]
+    framed = np.pad(walls, ((0, 0), (1, 0), (1, 0)), constant_values=True)
+    todo = empty & framed[:, :-1, 1:] & framed[:, 1:, :-1]
 
-    ages = np.zeros((H, W), dtype=np.int64)  # eccentricity + 1 where flooded
-    farthest = np.zeros((H, W, 2), dtype=np.int64)
-    upper = np.full((H, W), NO_BOUND, dtype=np.int64)  # bound on ages
+    ages = np.zeros((k, H, W), dtype=np.int64)  # eccentricity + 1 where flooded
+    farthest = np.zeros((k, H, W, 2), dtype=np.int64)
+    upper = np.full((k, H, W), NO_BOUND, dtype=np.int64)  # bound on ages
     row_major = np.arange(H * W).reshape(H, W)
     per_run = max(1, CANVAS_CELLS // ((H + 1) * W))
-    floods = 0
+    floods = np.zeros(k, dtype=np.int64)
     while todo.any():
-        tiles = np.argwhere(todo)
+        tiles = np.argwhere(todo)  # (maze, row, column), maze by maze
         for lo in range(0, len(tiles), per_run):
             chunk = tiles[lo : lo + per_run]
-            chunk_ages, far, bound = source_ages(maze, chunk)
-            ages[chunk[:, 0], chunk[:, 1]] = chunk_ages
-            farthest[chunk[:, 0], chunk[:, 1]] = far
+            chunk_ages, far, bound = source_ages(mazes, chunk)
+            ages[tuple(chunk.T)] = chunk_ages
+            farthest[tuple(chunk.T)] = far
             np.minimum(upper, bound, out=upper)
-        floods += len(tiles)
+        floods += np.count_nonzero(todo.reshape(k, -1), axis=1)
         # the best flooded tile is the first row-major tile of greatest age;
         # an unflooded tile can still displace it only if its bound beats
-        # that age, or ties it from an earlier tile
-        flat_best = int(np.argmax(ages))
-        best_age = ages.flat[flat_best]
+        # that age, or ties it from an earlier tile.  A maze with nothing
+        # left to flood keeps its ages and bounds, so it stays out.
+        flat_best = ages.reshape(k, -1).argmax(axis=1)[:, None, None]
+        best_age = ages.max(axis=(1, 2), keepdims=True)
         todo = empty & (ages == 0) & (
             (upper > best_age) | ((upper == best_age) & (row_major < flat_best))
         )
 
-    best = (flat_best // W, flat_best % W)
-    diameter_len = int(ages[best])
-    far = (int(farthest[best][0]), int(farthest[best][1]))
+    runs = []
+    for maze, maze_ages, maze_far, flat, n_floods in zip(
+        mazes, ages, farthest, flat_best.ravel().tolist(), floods.tolist()
+    ):
+        best = divmod(flat, W)
+        far = (int(maze_far[best][0]), int(maze_far[best][1]))
+        if far == best:
+            witness = np.zeros((H, W), dtype=bool)
+            witness[best] = True
+        else:
+            witness = run_extract(run_bfs(Maze(walls=maze.walls, source=best, target=far))).mask
+        runs.append(DiameterRun(
+            best_endpoint=best,
+            farthest=far,
+            diameter_len=int(maze_ages[best]),
+            witness=witness,
+            floods=n_floods,
+        ))
+    return runs
 
-    if far == best:
-        witness = np.zeros((H, W), dtype=bool)
-        witness[best] = True
-    else:
-        witness = run_extract(run_bfs(Maze(walls=maze.walls, source=best, target=far))).mask
-    return DiameterRun(
-        best_endpoint=best,
-        farthest=far,
-        diameter_len=diameter_len,
-        witness=witness,
-        floods=floods,
-    )
+
+def diameter_nca(maze: Maze) -> DiameterRun:
+    return diameter_batch([maze])[0]

@@ -1,11 +1,14 @@
-"""Automaton-vs-oracle equivalence checks, one seeded maze at a time.
+"""Automaton-vs-oracle equivalence checks, one chunk of seeded mazes at a
+time.
 
-Each check regenerates maze ``index`` from ``default_rng([seed, index])``,
-runs the relevant automaton, and compares every observable against the
-classical reference implementation; per-step invariants are checked by an
-observer on the automaton's own run.  Checks return None on success or a
-human-readable failure message, and are plain module-level functions so
-``verify_task`` can fan them out across processes.
+Each check takes a chunk of ``(seed, index, size)`` arguments, regenerates
+maze ``index`` from ``default_rng([seed, index])``, runs the relevant
+automaton, and compares every observable against the classical reference
+implementation; per-step invariants are checked by an observer on the
+automaton's own run.  The diameter check runs its whole chunk as one batch
+(``diameter.diameter_batch``).  A check returns one entry per maze: None on
+success or a human-readable failure message.  Checks are plain module-level
+functions so ``verify_task`` can fan chunks out across processes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .bfs import FLOOD_S, FLOOD_T, run_bfs
 from .dfs import PEBBLE, ROUTE, run_dfs
-from .diameter import diameter_nca
+from .diameter import DiameterRun, diameter_batch
 from .extract import run_extract
 from .grid import GenConfig, Maze, MazeError, generate_maze
 from .oracle import (
@@ -27,6 +30,10 @@ from .oracle import (
     distance_map,
     shortest_path_union,
 )
+
+
+# mazes per check call; a pool worker takes one chunk at a time
+CHUNK = 8
 
 
 class Mismatch(Exception):
@@ -38,10 +45,13 @@ def seeded_maze(task: str, height: int, width: int, seed: int, index: int) -> Ma
     return generate_maze(cfg, rng=np.random.default_rng([seed, index]))
 
 
-def check_shortest_path(args: tuple[int, int, int]) -> str | None:
+def check_shortest_path(chunk: list[tuple[int, int, int]]) -> list[str | None]:
     """Flood-ball equality at every step, the meet-step formula, and exact
     agreement of the extracted mask with the union of all shortest paths."""
-    seed, index, size = args
+    return [_check_shortest_path(*args) for args in chunk]
+
+
+def _check_shortest_path(seed: int, index: int, size: int) -> str | None:
     maze = seeded_maze("shortest_path", size, size, seed, index)
     ds = distance_map(maze, maze.source)
     dt = distance_map(maze, maze.target)
@@ -68,10 +78,13 @@ def check_shortest_path(args: tuple[int, int, int]) -> str | None:
     return None
 
 
-def check_dfs(args: tuple[int, int, int]) -> str | None:
+def check_dfs(chunk: list[tuple[int, int, int]]) -> list[str | None]:
     """Visit-order equality with the classical priority DFS, plus the
     single-pebble and route-monotonicity invariants at every step."""
-    seed, index, max_size = args
+    return [_check_dfs(*args) for args in chunk]
+
+
+def _check_dfs(seed: int, index: int, max_size: int) -> str | None:
     smallest = min(4, max_size)
     size = smallest + index % (max_size - smallest + 1)  # cycle min(4, N) .. N
     maze = seeded_maze("diameter", size, size, seed, index)
@@ -100,13 +113,18 @@ def check_dfs(args: tuple[int, int, int]) -> str | None:
     return None
 
 
-def check_diameter(args: tuple[int, int, int]) -> str | None:
+def check_diameter(chunk: list[tuple[int, int, int]]) -> list[str | None]:
     """Diameter length match plus witness validity: the witness must be the
     full shortest-path union between the automaton's own endpoint pair, and
-    that pair must realize the oracle diameter."""
-    seed, index, size = args
-    maze = seeded_maze("diameter", size, size, seed, index)
-    run = diameter_nca(maze)
+    that pair must realize the oracle diameter.  The chunk's mazes share one
+    size, so their diameters run as one batch."""
+    mazes = [seeded_maze("diameter", size, size, seed, index) for seed, index, size in chunk]
+    runs = diameter_batch(mazes)
+    return [_check_diameter(index, maze, run)
+            for (_, index, _), maze, run in zip(chunk, mazes, runs)]
+
+
+def _check_diameter(index: int, maze: Maze, run: DiameterRun) -> str | None:
     length, _ = diameter_oracle(maze)
     if run.diameter_len != length:
         return f"maze {index}: diameter {run.diameter_len} != oracle {length}"
@@ -147,15 +165,17 @@ def verify_task(
     size: int = 16,
     workers: int | None = None,
 ) -> tuple[int, list[str]]:
-    """Run ``n`` seeded checks; returns (pass count, failure messages)."""
+    """Run ``n`` seeded checks in chunks of ``CHUNK`` mazes; returns (pass
+    count, failure messages)."""
     check = CHECKS[task]
-    args = [(seed, i, size) for i in range(n)]
+    chunks = [[(seed, i, size) for i in range(lo, min(lo + CHUNK, n))]
+              for lo in range(0, n, CHUNK)]
     if workers is None:
         workers = default_workers()
-    if workers > 1 and n > 1:
+    if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, args, chunksize=8))
+            results = list(pool.map(check, chunks))
     else:
-        results = [check(a) for a in args]
-    failures = [msg for msg in results if msg is not None]
+        results = [check(chunk) for chunk in chunks]
+    failures = [msg for messages in results for msg in messages if msg is not None]
     return n - len(failures), failures

@@ -106,7 +106,7 @@ def test_age_counts_steps_since_arrival(seed):
 
 
 def test_single_source_fixpoint_age_is_eccentricity_plus_one():
-    ages, far, _ = diameter.source_ages(parse_maze("....."), np.array([[0, 0]]))
+    ages, far, _ = diameter.source_ages([parse_maze(".....")], np.array([[0, 0, 0]]))
     assert ages[0] == 5  # eccentricity 4 moves
     assert far[0].tolist() == [0, 4]
 
@@ -121,7 +121,7 @@ def test_single_source_ignores_real_endpoints(monkeypatch):
         return states[-1]
 
     monkeypatch.setattr(diameter, "bfs_step", canvas_step)
-    ages, far, _ = diameter.source_ages(parse_maze("S.T"), np.array([[0, 1]]))
+    ages, far, _ = diameter.source_ages([parse_maze("S.T")], np.array([[0, 0, 1]]))
     assert ages[0] == 2 and far[0].tolist() == [0, 0]
     assert np.all(states[-1].hidden[FLOOD_S][0] > 0)
     assert not any(state.hidden[FLOOD_T].any() for state in states)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from mazenca import diameter
 from mazenca.bfs import N_HIDDEN, build_bfs_weights, run_bfs
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
+    DiameterRun,
+    diameter_batch,
     diameter_nca,
     schedule_dijkstra_calls,
     source_ages,
 )
 from mazenca.extract import run_extract
-from mazenca.grid import GenConfig, Maze, generate_maze, parse_maze
+from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import diameter_oracle, distance_map, shortest_path_union
 from mazenca.verify import seeded_maze
 from sweep import sweep_mazes
@@ -20,6 +24,13 @@ from sweep import sweep_mazes
 
 def walls_only(text):
     return Maze(walls=parse_maze(text).walls)
+
+
+def single_ages(maze, tiles):
+    """source_ages of one maze: its tiles tagged with maze 0, its one upper
+    bound plane."""
+    ages, far, upper = source_ages([maze], np.column_stack([np.zeros(len(tiles), int), tiles]))
+    return ages, far, upper[0]
 
 
 def oracle_path_max(maze):
@@ -60,7 +71,7 @@ def test_componentwise_restarts():
     assert run.floods == 4
     # source_ages covers every empty tile across both components
     tiles = np.argwhere(~maze.walls)
-    ages, _, _ = source_ages(maze, tiles)
+    ages, _, _ = single_ages(maze, tiles)
     assert ages.tolist() == oracle_path_max(maze)[~maze.walls].tolist() == [1, 3, 2, 3]
 
 
@@ -81,7 +92,7 @@ def test_schedule_waits_match_visit_gaps():
 def test_path_max_is_eccentricity_plus_one():
     maze = walls_only("...\n#..")
     tiles = np.argwhere(~maze.walls)
-    ages, _, _ = source_ages(maze, tiles)
+    ages, _, _ = single_ages(maze, tiles)
     for (y, x), age in zip(tiles, ages):
         ecc = int(distance_map(maze, (int(y), int(x))).max())
         assert age == ecc + 1
@@ -97,7 +108,7 @@ def test_path_max_matches_oracle_across_shapes_and_densities():
     assert len(mazes) >= 1000
     for maze in mazes:
         tiles = np.argwhere(~maze.walls)
-        ages, far, upper = source_ages(maze, tiles)
+        ages, far, upper = single_ages(maze, tiles)
         dists = [distance_map(maze, (int(y), int(x))) for y, x in tiles]
         assert ages.tolist() == [int(d.max()) + 1 for d in dists], str(maze.walls)
         assert far.tolist() == [list(divmod(int(np.argmax(d)), maze.width)) for d in dists], \
@@ -110,7 +121,7 @@ def exhaustive_diameter(maze):
     """Reference: a flood from every empty tile, the first row-major tile of
     greatest age, its flood's farthest tile and the witness between them."""
     tiles = np.argwhere(~maze.walls)
-    ages, far, _ = source_ages(maze, tiles)
+    ages, far, _ = single_ages(maze, tiles)
     k = int(np.argmax(ages))
     best = (int(tiles[k][0]), int(tiles[k][1]))
     farthest = (int(far[k][0]), int(far[k][1]))
@@ -184,7 +195,7 @@ def test_gutter_isolates_copies_on_open_grid(monkeypatch, cells):
     # (0, 0) is the only corner, and every other tile's bound 14 + d beats
     # its age 14, so the second round floods them all
     assert run.floods == maze.walls.size
-    ages, _, _ = source_ages(maze, np.argwhere(~maze.walls))
+    ages, _, _ = single_ages(maze, np.argwhere(~maze.walls))
     np.testing.assert_array_equal(ages.reshape(maze.walls.shape), oracle_path_max(maze))
 
 
@@ -208,11 +219,75 @@ def test_canvas_builds_its_constant_plane_once(monkeypatch):
     monkeypatch.setattr(diameter, "flood_plane", counting)
     maze = walls_only("....\n.#..\n....")
     tiles = np.argwhere(~maze.walls)
-    ages, _, _ = source_ages(maze, tiles)
-    # floods from different tiles settle at different steps, so the canvas
-    # compacts several times
+    ages, _, _ = single_ages(maze, tiles)
+    # floods from different tiles settle at different steps, yet the plane
+    # is built once
     assert len(set(ages.tolist())) > 1
     assert calls == [(4, len(tiles) * 4, 4)]
+
+
+def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
+    # on a 1 x 9 corridor the flood from tile x settles at step
+    # max(x, 8 - x) + 2: one copy at step 6, two at each later step.  At
+    # step 8 five of nine have settled, so four copies stay; at step 9 two
+    # of those four settle, so two stay; at step 10 the last two settle.
+    # Frame and constant plane leave together, and the plane is built once.
+    kept, planes = [], []
+    keep, plane = diameter._keep, diameter.flood_plane
+
+    def recording_keep(frame, live):
+        kept.append((len(live), int(live.sum())))
+        return keep(frame, live)
+
+    def counting_plane(onehot):
+        planes.append(onehot.shape)
+        return plane(onehot)
+
+    monkeypatch.setattr(diameter, "_keep", recording_keep)
+    monkeypatch.setattr(diameter, "flood_plane", counting_plane)
+    maze = walls_only(".........")
+    ages, far, _ = single_ages(maze, np.argwhere(~maze.walls))
+    assert ages.tolist() == [max(x, 8 - x) + 1 for x in range(9)]
+    assert far.tolist() == [[0, 8] if x < 4 else [0, 0] for x in range(9)]
+    assert kept == [(9, 4), (9, 4), (4, 2), (4, 2)]
+    assert planes == [(4, 9 * 2, 9)]
+
+
+def assert_same_run(got, want, msg):
+    for field in dataclasses.fields(DiameterRun):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), (field.name, msg)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (field.name, msg)
+        else:
+            assert a == b, (field.name, msg)
+
+
+@pytest.mark.parametrize("cells", [diameter.CANVAS_CELLS, 40])
+def test_batches_match_batches_of_one(monkeypatch, cells):
+    # the sweep's mazes grouped by shape (corridors, all-open and
+    # single-tile grids, multi-component random grids) run as batches; 40
+    # cells split one maze's tiles over several canvases inside a batch
+    mazes = sweep_mazes(300, 8, seed=71)
+    singles = [diameter_batch([maze])[0] for maze in mazes]
+    by_shape = {}
+    for maze, single in zip(mazes, singles):
+        by_shape.setdefault(maze.walls.shape, []).append((maze, single))
+    assert max(len(group) for group in by_shape.values()) >= 8
+    monkeypatch.setattr(diameter, "CANVAS_CELLS", cells)
+    for group in by_shape.values():
+        runs = diameter_batch([maze for maze, _ in group])
+        assert len(runs) == len(group)
+        for run, (maze, single) in zip(runs, group):
+            assert_same_run(run, single, str(maze.walls))
+
+
+def test_batch_of_mixed_shapes_or_without_empty_tiles_is_rejected():
+    assert diameter_batch([]) == []
+    with pytest.raises(MazeError, match="one shape"):
+        diameter_batch([walls_only("..."), walls_only("..")])
+    with pytest.raises(MazeError, match="no empty tiles"):
+        diameter_batch([walls_only(".."), walls_only("##")])
 
 
 @settings(max_examples=20, deadline=None)

@@ -357,7 +357,7 @@ def test_framed_states_keep_a_zero_border_and_step_the_unframed_stack(monkeypatc
         # the canvas's first constant plane against its one-hot, then every
         # step from the constant plane its copies carry
         canvas.clear()
-        diameter.source_ages(maze, np.array(empties))
+        diameter.source_ages([maze], np.array([(0, *t) for t in empties]))
         n = len(empties)
         onehot = np.zeros((4, n, H + 1, W))
         onehot[:, :, :H] = one_hot(Maze(walls=maze.walls))[:, None]
