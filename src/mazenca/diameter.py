@@ -16,10 +16,10 @@ reshape of it.  A copy whose flood stopped changing has reached its fixpoint
 (``bfs.flood_fixpoint``); its source age, its farthest tile and its bounds
 are read at that step and the copy is masked out.  It stays at its fixpoint,
 so it rides along until at least half of the canvas has settled; then the
-settled copies leave, a take along the copy axis, so later steps pay only for
-live floods.  The canvas's constant plane is built once; a leaving copy's
-rows are dropped from it, which is exact because every static flood tap is a
-centre tap.
+settled copies' rows leave the canvas in one copy, so later steps pay only
+for live floods.  The canvas's constant plane is built once; a leaving
+copy's rows are dropped from it, which is exact because every static flood
+tap is a centre tap.
 
 Only the tiles that could still hold the diameter flood, as in Takes and
 Kosters' BoundingDiameters (CIKM 2011).  A settled flood from u gives the
@@ -103,8 +103,8 @@ def _keep(frame: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _step(state: BfsState, m: int) -> tuple[BfsState, np.ndarray]:
     """One canvas step, and which of its ``m`` copies it left at their
-    fixpoint.  The state before it is not kept: a canvas holds two frames at
-    most."""
+    fixpoint.  The caller keeps only the new state, so a canvas holds at
+    most two frames."""
     new = bfs_step(state)
     return new, flood_fixpoint(state, new, m)
 
