@@ -2,26 +2,32 @@
 
 Two binary flood channels grow outward from source and target one ring per
 step; the age channel counts, per tile, the steps since each flood arrived.
-The run freezes at the first step where the floods overlap, or when the
-source flood stops growing without an overlap, which proves the target
-unreachable.  The diameter canvas steps the same kernels from one source per
-maze copy and halts each copy at its fixpoint.  The state is an integer
-tensor in ``flood_dtype``; the maze one-hot enters it once, as the constant
-plane its kernels add to every step.  The state keeps the conv's one-cell
-border (``tensor.conv2d``).  The constant plane frames the maze with walls,
-so a border cell's flood pre-activation is at most -6 + 5 and its age adds
-only border cells: the border stays zero, as zero padding would be.
+A run freezes at the first step where the floods overlap, or when the source
+flood stops growing without an overlap, which proves the target
+unreachable.  ``bfs_batch`` floods a batch of same-shape mazes as copies of
+one canvas (``loop.run_canvas``), each copy halted and read out at its own
+halting step: its floods keep growing after they meet, so it cannot wait.
+``run_bfs`` is a batch of one.  The diameter's single-source floods step the
+same kernels from one source per copy and halt each copy at its fixpoint.
+The state is an integer tensor in ``flood_dtype``; the maze one-hot enters
+it once, as the constant plane its kernels add to every step.  The state
+keeps the conv's one-cell border (``tensor.conv2d``).  The constant plane
+frames the maze with walls, and a canvas's gutter rows are wall rows, so a
+border or gutter cell's flood pre-activation is at most -6 + 5 and its age
+adds only its own floods: the border and the gutters stay zero, as zero
+padding would, and every static tap is a centre tap, so a copy's slice of
+the constant plane is its single run's.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .loop import run
+from .loop import copy_frame, run_canvas
 from .grid import CH_WALL, Maze, MazeError, one_hot
 from .tensor import KernelStack, conv2d, int_dtype, interior, step, w_center3, w_von_neumann
 
@@ -75,7 +81,10 @@ def flood_dtype(height: int, width: int) -> np.dtype:
     """Integer dtype of a flood over an H x W maze."""
     # every flood halts by step flood_horizon = H*W + 1, and an age grows by
     # at most 1 per step (floods overlap only at the halting step), so ages
-    # stay within it; flood pre-activations lie in [-6, 6]
+    # stay within it up to the halting step, where a copy is read; a halted
+    # canvas copy rides along until it is dropped, and its ages may wrap,
+    # which touches no other copy, since only centre taps read the age.
+    # Flood pre-activations lie in [-6, 6].
     return int_dtype(max(flood_horizon(height, width), 6))
 
 
@@ -90,13 +99,16 @@ def flood_plane(onehot: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(conv2d(walled, _weights().split(N_HIDDEN)[1])[:, 1:-1, 1:-1])
 
 
-def initial_state(maze_onehot: np.ndarray) -> BfsState:
-    _, H, W = maze_onehot.shape
-    dtype = flood_dtype(H, W)
-    return BfsState(
-        frame=np.zeros((N_HIDDEN, H + 2, W + 2), dtype),
-        const=flood_plane(maze_onehot.astype(dtype)),
-    )
+def initial_state(mazes: Sequence[Maze]) -> BfsState:
+    """Canvas of bidirectional floods, one copy per maze of ``mazes`` (one
+    shape), with a wall row between neighbouring copies."""
+    H, W = mazes[0].walls.shape
+    onehot = np.zeros((4, len(mazes) * (H + 1) - 1, W), flood_dtype(H, W))
+    for j, maze in enumerate(mazes):
+        onehot[:, j * (H + 1) : j * (H + 1) + H] = one_hot(maze)
+    onehot[CH_WALL, H :: H + 1] = 1
+    const = flood_plane(onehot)
+    return BfsState(frame=np.zeros_like(const), const=const)
 
 
 def bfs_step(state: BfsState) -> BfsState:
@@ -115,24 +127,63 @@ def flood_horizon(height: int, width: int) -> int:
     return height * width + 1
 
 
-def floods_met(state: BfsState) -> bool:
-    """The two floods overlap somewhere."""
-    return bool((state.frame[FLOOD_S] & state.frame[FLOOD_T]).any())
+def floods_met(state: BfsState, copies: int = 1) -> np.ndarray:
+    """Per copy of a canvas of ``copies`` copies: the two floods overlap
+    somewhere."""
+    overlap = state.frame[FLOOD_S, 1:] & state.frame[FLOOD_T, 1:]
+    return overlap.reshape(copies, -1).any(axis=1)
 
 
 def flood_fixpoint(prev: BfsState, state: BfsState, copies: int = 1) -> np.ndarray:
-    """Single-source halting rule, per maze copy for ``copies`` copies
-    stacked along the rows: the copy's source flood stopped changing."""
-    same = state.frame[FLOOD_S, 1:-1] == prev.frame[FLOOD_S, 1:-1]
+    """Single-source halting rule, per copy of a canvas of ``copies``
+    copies: the copy's source flood stopped changing."""
+    same = state.frame[FLOOD_S, 1:] == prev.frame[FLOOD_S, 1:]
     return same.reshape(copies, -1).all(axis=1)
 
 
-def floods_halted(prev: BfsState, state: BfsState) -> bool:
-    """Bidirectional halting rule: the floods overlap, or the source flood
-    stopped changing without an overlap.  A settled source flood covers its
-    whole component and the target flood always holds the target, so the
-    second case proves the target unreachable."""
-    return floods_met(state) or bool(flood_fixpoint(prev, state)[0])
+def floods_halted(prev: BfsState, state: BfsState, copies: int = 1) -> np.ndarray:
+    """Bidirectional halting rule, per copy: the floods overlap, or the
+    source flood stopped changing without an overlap.  A settled source
+    flood covers its whole component and the target flood always holds the
+    target, so the second case proves the target unreachable."""
+    return floods_met(state, copies) | flood_fixpoint(prev, state, copies)
+
+
+def bfs_batch(
+    mazes: Sequence[Maze],
+    max_steps: int | None = None,
+    observe: Callable[[BfsState], object] | None = None,
+) -> list[BfsResult]:
+    """``run_bfs`` of every maze in ``mazes`` (one shape), as copies of one
+    canvas.  A copy is read out at its halting step, or at step
+    ``max_steps`` if it never halts; its result is that of its own single
+    run.  ``observe`` sees every canvas state."""
+    if not mazes:
+        return []
+    H, W = mazes[0].walls.shape
+    if max_steps is None:
+        max_steps = flood_horizon(H, W)
+    if max_steps < 1:
+        raise MazeError("max_steps must be positive")
+    for maze in mazes:
+        if maze.source is None or maze.target is None:
+            raise MazeError("bidirectional flood needs source and target")
+        if maze.walls.shape != (H, W):
+            raise MazeError("a flood batch needs mazes of one shape")
+    results: list[BfsResult] = [None] * len(mazes)
+
+    def read(state: BfsState, done: np.ndarray, ids: np.ndarray) -> None:
+        m = len(done)
+        met = floods_met(state, m)
+        for j, i in zip(done.nonzero()[0].tolist(), ids.tolist()):
+            final = BfsState(frame=copy_frame(state.frame, j, m),
+                             const=copy_frame(state.const, j, m), step=state.step)
+            results[i] = BfsResult(met=bool(met[j]), meet_step=state.step if met[j] else None,
+                                   final=final, maze=mazes[i])
+
+    run_canvas(bfs_step, initial_state(mazes), len(mazes), floods_halted, read,
+               max_steps, observe)
+    return results
 
 
 def run_bfs(
@@ -142,13 +193,5 @@ def run_bfs(
 ) -> BfsResult:
     """Run until the floods first overlap or the target proves unreachable.
     ``max_steps`` defaults to ``flood_horizon(H, W)``; ``observe`` sees every
-    state."""
-    if max_steps is None:
-        max_steps = flood_horizon(maze.height, maze.width)
-    if max_steps < 1:
-        raise MazeError("max_steps must be positive")
-    if maze.source is None or maze.target is None:
-        raise MazeError("bidirectional flood needs source and target")
-    state, _ = run(bfs_step, initial_state(one_hot(maze)), floods_halted, max_steps, observe)
-    met = floods_met(state)
-    return BfsResult(met=met, meet_step=state.step if met else None, final=state, maze=maze)
+    state.  A batch of one."""
+    return bfs_batch([maze], max_steps, observe)[0]

@@ -154,6 +154,8 @@ def cmd_verify(args) -> int:
 def cmd_evolve(args) -> int:
     _count(args.generations, "--generations")
     _count(args.batch_size, "--batch-size")
+    if args.n_flips is not None and args.n_flips < 1:
+        raise UsageError(f"--n-flips must be at least 1, got {args.n_flips}")
     dataset = read_dataset(args.dataset)
     if not dataset:
         raise MazeError("empty dataset")

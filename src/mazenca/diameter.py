@@ -4,22 +4,18 @@ A single-source flood from tile u, run to its fixpoint, leaves age
 eccentricity(u) + 1 at u itself (the longest shortest path ending at u, in
 tiles).  The paper launches one such flood per tile from a DFS and staggers
 them on shared channels, with per-launch waiting times, so that they never
-collide.  Here a canvas stands in for that schedule: every flood gets its own
-copy of its maze, the copies are stacked along the row axis of one tensor in
-the flood's integer dtype with a row of walls between neighbours, and each
-conv step advances all of them at once.  A canvas holds floods from several
-mazes of one shape, each copy tagged with its maze.  A wall row never floods
-and its age stays 0, so it isolates the copies exactly as zero padding
-isolates a single run.  The canvas keeps a single flood's one-cell border, so
-each copy's rows and its gutter row are contiguous and the copies are a
-reshape of it.  A copy whose flood stopped changing has reached its fixpoint
+collide.  Here a canvas (``loop.run_canvas``) stands in for that schedule:
+every flood gets its own copy of its maze, in the flood's integer dtype,
+with a wall row between neighbouring copies, and each conv step advances
+all of them at once.  A canvas holds floods from several mazes of one
+shape, each copy tagged with its maze.  A wall row never floods and its age
+stays 0, so it isolates the copies exactly as zero padding isolates a single
+run.  A copy whose flood stopped changing has reached its fixpoint
 (``bfs.flood_fixpoint``); its source age, its farthest tile and its bounds
-are read at that step and the copy is masked out.  It stays at its fixpoint,
-so it rides along until at least half of the canvas has settled; then the
-settled copies' rows leave the canvas in one copy, so later steps pay only
-for live floods.  The canvas's constant plane is built once; a leaving
-copy's rows are dropped from it, which is exact because every static flood
-tap is a centre tap.
+are read at that step (``_read_settled``).  It stays at its fixpoint, so it
+rides along until the runner drops it.  The canvas's constant plane is built
+once; a leaving copy's rows are dropped from it, which is exact because
+every static flood tap is a centre tap.
 
 Only the tiles that could still hold the diameter flood, as in Takes and
 Kosters' BoundingDiameters (CIKM 2011).  A settled flood from u gives the
@@ -34,7 +30,10 @@ for a batch of mazes in lockstep: each round floods every maze's remaining
 tiles on the same canvases, and a maze drops out once nothing is left for it
 to flood; its rounds, floods and answer are those of a batch of one.  The
 endpoints and the witness are those of the exhaustive canvas: the first
-row-major tile of greatest eccentricity is always flooded.
+row-major tile of greatest eccentricity is always flooded.  The witnesses of
+a batch are one flood batch (``bfs.bfs_batch``) between each maze's
+endpoints and one extraction batch (``extract.extract_batch``) of those
+floods.
 """
 
 from __future__ import annotations
@@ -49,16 +48,17 @@ from .bfs import (
     FLOOD_S,
     N_HIDDEN,
     BfsState,
+    bfs_batch,
     bfs_step,
     flood_dtype,
     flood_fixpoint,
     flood_horizon,
     flood_plane,
-    run_bfs,
 )
 from .dfs import DfsTrace
-from .extract import run_extract
+from .extract import extract_batch
 from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError
+from .loop import run_canvas
 
 # canvas rows x columns per flood run; larger mazes split their tiles over
 # several runs so memory stays near 100 MB
@@ -94,21 +94,6 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
-def _keep(frame: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The canvas frame with only the copies where ``keep`` (one bool per
-    copy) holds, its border rows included, in one new array."""
-    rows = np.repeat(keep, (frame.shape[1] - 2) // len(keep))
-    return np.compress(np.concatenate(([True], rows, [True])), frame, axis=1)
-
-
-def _step(state: BfsState, m: int) -> tuple[BfsState, np.ndarray]:
-    """One canvas step, and which of its ``m`` copies it left at their
-    fixpoint.  The caller keeps only the new state, so a canvas holds at
-    most two frames."""
-    new = bfs_step(state)
-    return new, flood_fixpoint(state, new, m)
-
-
 def _read_settled(
     frame: np.ndarray, settled: np.ndarray, tiles: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +103,8 @@ def _read_settled(
     flat plane per maze)."""
     which, rows, cols = tiles.T
     m, W = len(settled), frame.shape[2] - 2
-    # each copy's rows end with its wall row
-    hidden = frame[:, 1:-1].reshape(N_HIDDEN, m, -1, W + 2)[:, settled, :-1, 1:-1]
+    # each copy's rows end with its gutter row
+    hidden = frame[:, 1:].reshape(N_HIDDEN, m, -1, W + 2)[:, settled, :-1, 1:-1]
     flood_ages = hidden[AGE].reshape(len(tiles), -1)
     flooded = hidden[FLOOD_S].reshape(len(tiles), -1) > 0
     ages = flood_ages[np.arange(len(tiles)), rows * W + cols].astype(np.int64)
@@ -132,10 +117,11 @@ def _read_settled(
 
 def _canvas_plane(mazes: Sequence[Maze], tiles: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """Constant plane of a canvas with one copy of maze ``m`` per tile
-    (m, row, column), that tile its source, and a wall row after each copy.
-    The plane's values are flood pre-activations of the one-hot alone, in
-    [-6, 1], so it is built in int8 and cast to ``dtype`` once, which keeps
-    the canvas-sized arrays of the build at one byte a cell."""
+    (m, row, column), that tile its source, and a wall row between
+    neighbouring copies.  The plane's values are flood pre-activations of
+    the one-hot alone, in [-6, 1], so it is built in int8 and cast to
+    ``dtype`` once, which keeps the canvas-sized arrays of the build at one
+    byte a cell."""
     H, W = mazes[0].walls.shape
     which, rows, cols = tiles.T
     n = len(tiles)
@@ -146,7 +132,8 @@ def _canvas_plane(mazes: Sequence[Maze], tiles: np.ndarray, dtype: np.dtype) -> 
     onehot[CH_WALL, :, H] = 1
     onehot[CH_SOURCE, np.arange(n), rows, cols] = 1
     onehot[CH_EMPTY, np.arange(n), rows, cols] = 0
-    return flood_plane(onehot.reshape(4, -1, W)).astype(dtype)
+    # the last copy's wall row is the frame's bottom border
+    return flood_plane(onehot.reshape(4, -1, W)[:, :-1]).astype(dtype)
 
 
 def source_ages(
@@ -154,46 +141,31 @@ def source_ages(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-source floods from every tile in ``tiles`` (n x 3: the index
     of its maze in ``mazes``, row, column; empty tiles of same-shape mazes),
-    all on one canvas, each run to its fixpoint.  Returns the age at each
-    flood's own source (eccentricity + 1), each flood's farthest tile (n x
-    2): the flooded tile with the least age, row-major first, and a k x H x W
-    upper bound on every tile's eccentricity + 1 in each of the k mazes.
+    all on one canvas (``loop.run_canvas``), each run to its fixpoint.
+    Returns the age at each flood's own source (eccentricity + 1), each
+    flood's farthest tile (n x 2): the flooded tile with the least age,
+    row-major first, and a k x H x W upper bound on every tile's
+    eccentricity + 1 in each of the k mazes.
 
     A settled flood from u has AGE(v) = AGE(u) - d(u, v) on every tile v it
     reached, so ecc(v) + 1 <= ecc(u) + d(u, v) + 1 = 2 AGE(u) - AGE(v).  The
     bound is the least of these over the maze's floods, NO_BOUND on tiles
     that none reached."""
     H, W = mazes[0].walls.shape
-    dtype = flood_dtype(H, W)
     n = len(tiles)
-    const = _canvas_plane(mazes, tiles, dtype)
-    state = BfsState(frame=np.zeros_like(const), const=const)
-
+    const = _canvas_plane(mazes, tiles, flood_dtype(H, W))
     ages = np.zeros(n, dtype=np.int64)
     far = np.zeros((n, 2), dtype=np.int64)
     upper = np.full((len(mazes), H * W), NO_BOUND, dtype=np.int64)
-    live = np.arange(n)  # canvas copy j floods from tiles[live[j]]
-    read = np.zeros(n, dtype=bool)  # canvas copy j settled and was read
-    n_read = 0
-    for _ in range(flood_horizon(H, W)):
-        state, settled = _step(state, len(live))
-        settled &= ~read
-        if not settled.any():
-            continue
-        done = live[settled]
+
+    def read(state: BfsState, settled: np.ndarray, done: np.ndarray) -> None:
         ages[done], far[done] = _read_settled(state.frame, settled, tiles[done], upper)
-        read |= settled
-        n_read += len(done)
-        if n_read == n:
-            return ages, far, upper.reshape(-1, H, W)
-        # a settled copy stays at its fixpoint, so it can ride along until
-        # half of the canvas has settled and dropping them pays for the copy
-        if 2 * np.count_nonzero(read) >= len(live):
-            keep = ~read
-            live, read = live[keep], read[keep]
-            state = BfsState(frame=_keep(state.frame, keep),
-                             const=_keep(state.const, keep), step=state.step)
-    raise MazeError(f"{n - n_read} floods did not settle within {flood_horizon(H, W)} steps")
+
+    left = run_canvas(bfs_step, BfsState(frame=np.zeros_like(const), const=const), n,
+                      flood_fixpoint, read, flood_horizon(H, W))
+    if len(left):
+        raise MazeError(f"{len(left)} floods did not settle within {flood_horizon(H, W)} steps")
+    return ages, far, upper.reshape(-1, H, W)
 
 
 def diameter_batch(mazes: Sequence[Maze]) -> list[DiameterRun]:
@@ -241,25 +213,27 @@ def diameter_batch(mazes: Sequence[Maze]) -> list[DiameterRun]:
             (upper > best_age) | ((upper == best_age) & (row_major < flat_best))
         )
 
-    runs = []
-    for maze, maze_ages, maze_far, flat, n_floods in zip(
-        mazes, ages, farthest, flat_best.ravel().tolist(), floods.tolist()
-    ):
-        best = divmod(flat, W)
-        far = (int(maze_far[best][0]), int(maze_far[best][1]))
-        if far == best:
-            witness = np.zeros((H, W), dtype=bool)
-            witness[best] = True
-        else:
-            witness = run_extract(run_bfs(Maze(walls=maze.walls, source=best, target=far))).mask
-        runs.append(DiameterRun(
-            best_endpoint=best,
-            farthest=far,
-            diameter_len=int(maze_ages[best]),
-            witness=witness,
-            floods=n_floods,
-        ))
-    return runs
+    bests = [divmod(flat, W) for flat in flat_best.ravel().tolist()]
+    fars = [(int(maze_far[best][0]), int(maze_far[best][1]))
+            for maze_far, best in zip(farthest, bests)]
+    # a singleton component's witness is its tile; every other witness is
+    # the shortest paths between the endpoints, extracted from a flood
+    # between them: all mazes' floods on one canvas, their extractions on
+    # another
+    pairs = [i for i in range(k) if bests[i] != fars[i]]
+    witnesses = [np.zeros((H, W), dtype=bool) for _ in range(k)]
+    for i, best in enumerate(bests):
+        witnesses[i][best] = True
+    met = bfs_batch([Maze(walls=mazes[i].walls, source=bests[i], target=fars[i])
+                     for i in pairs])
+    for i, path in zip(pairs, extract_batch(met)):
+        witnesses[i] = path.mask
+    return [
+        DiameterRun(best_endpoint=best, farthest=far, diameter_len=int(maze_ages[best]),
+                    witness=witness, floods=n_floods)
+        for best, far, maze_ages, witness, n_floods in zip(
+            bests, fars, ages, witnesses, floods.tolist())
+    ]
 
 
 def diameter_nca(maze: Maze) -> DiameterRun:

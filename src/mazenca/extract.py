@@ -9,18 +9,27 @@ once, as the constant plane the kernels add to every step.  The state keeps
 the conv's one-cell border (``tensor.conv2d``), as the frozen flood does, so
 at a border cell the path pre-activation is -1 and a direction's is
 2 AGE(nb) + PATH(nb) >= 0, never -1: the activations hold the border at 0.
+
+``extract_batch`` extracts a batch of same-shape met floods as copies of one
+canvas (``loop.run_canvas``), their frozen frames stacked so that each
+copy's bottom border is the gutter row above the next copy.  A gutter row
+is a border to both of its neighbours, and the same bounds hold it at 0
+whichever copies neighbour it, so copies never meet and a copy's frame is
+its single run's.  A copy at its path fixpoint stays there, so it is read
+at its fixpoint step and rides along until the canvas drops it.
+``run_extract`` is a batch of one.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bfs import BfsResult, flood_horizon
-from .loop import run
+from .loop import copy_rows, run_canvas
 from .grid import MazeError
 from .tensor import KernelStack, conv2d, interior, sawtooth, step, w_center3, w_offset3
 
@@ -74,10 +83,12 @@ def _weights() -> KernelStack:
 
 
 def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
-    _, Hp, Wp = bfs_frozen.shape  # the frozen flood's frame
-    # the frozen flood met by step ceil((H*W-1)/2)+1, so its ages are at most
-    # ceil((H*W-1)/2) and the 2*dage +- 1 pre-activations stay within
-    # +-(H*W+1), the bound of its dtype (bfs.flood_dtype)
+    """Extraction canvas over ``bfs_frozen``, the frozen floods' frames
+    stacked along the rows (``extract_batch``)."""
+    # the frozen floods met by step ceil((H*W-1)/2)+1, so their ages are at
+    # most ceil((H*W-1)/2) and the 2*dage +- 1 pre-activations stay within
+    # +-(H*W+1), the bound of their dtype (bfs.flood_dtype)
+    _, Hp, Wp = bfs_frozen.shape
     frame = np.zeros((N_HIDDEN, Hp, Wp), bfs_frozen.dtype)
     return ExtractState(frame=frame, const=conv2d(bfs_frozen, _weights().split(N_HIDDEN)[1]))
 
@@ -94,9 +105,48 @@ def extract_step(state: ExtractState) -> ExtractState:
     return ExtractState(frame=out, const=state.const, step=state.step + 1)
 
 
-def path_fixpoint(prev: ExtractState, state: ExtractState) -> bool:
-    """Halting rule: the path channel stopped changing."""
-    return bool((state.frame[PATH] == prev.frame[PATH]).all())
+def path_fixpoint(prev: ExtractState, state: ExtractState, copies: int = 1) -> np.ndarray:
+    """Halting rule, per copy of a canvas of ``copies`` copies: the copy's
+    path channel stopped changing."""
+    same = state.frame[PATH, 1:] == prev.frame[PATH, 1:]
+    return same.reshape(copies, -1).all(axis=1)
+
+
+def extract_batch(
+    floods: Sequence[BfsResult], observe: Callable[[ExtractState], object] | None = None
+) -> list[ExtractResult]:
+    """``run_extract`` of every flood in ``floods`` (met floods over mazes
+    of one shape), as copies of one canvas; each copy's result is that of
+    its own single run, and the batch raises what the first raising copy's
+    single run raises.  ``observe`` sees every canvas state."""
+    if not floods:
+        return []
+    H, W = floods[0].maze.walls.shape
+    for bfs in floods:
+        if not bfs.met:
+            raise MazeError("extraction needs a met flood result")
+        if bfs.maze.walls.shape != (H, W):
+            raise MazeError("an extraction batch needs floods of one shape")
+    horizon = flood_horizon(H, W)
+    # each frozen frame's top border row is the gutter below the copy before
+    frozen = np.concatenate([floods[0].final.frame] + [bfs.final.frame[:, 1:] for bfs in floods[1:]],
+                            axis=1)
+    results: list[ExtractResult] = [None] * len(floods)
+
+    def read(state: ExtractState, done: np.ndarray, ids: np.ndarray) -> None:
+        rows = copy_rows(state.frame, len(done))
+        for j, i in zip(done.nonzero()[0].tolist(), ids.tolist()):
+            mask = state.frame[PATH, j * rows + 1 : (j + 1) * rows, 1:-1] > 0
+            results[i] = ExtractResult(mask=mask, steps_used=state.step - 1)
+
+    left = run_canvas(extract_step, initial_state(frozen), len(floods), path_fixpoint, read,
+                      horizon, observe)
+    if len(left):
+        raise MazeError(f"no path fixpoint within {horizon} steps")
+    for bfs, result in zip(floods, results):
+        if not (result.mask[bfs.maze.source] and result.mask[bfs.maze.target]):
+            raise ExtractionFailed("path fixpoint does not cover source and target")
+    return results
 
 
 def run_extract(
@@ -104,16 +154,5 @@ def run_extract(
 ) -> ExtractResult:
     """Grow the path to its fixpoint; ``observe`` sees every state, the
     fixpoint state included.  ``steps_used`` is the step of the last change,
-    one before the fixpoint is detected."""
-    if not bfs.met:
-        raise MazeError("extraction needs a met flood result")
-    maze = bfs.maze
-    horizon = flood_horizon(maze.height, maze.width)
-    state = initial_state(bfs.final.frame)
-    state, done = run(extract_step, state, path_fixpoint, horizon, observe)
-    if not done:
-        raise MazeError(f"no path fixpoint within {horizon} steps")
-    mask = state.hidden[PATH] > 0
-    if not (mask[maze.source] and mask[maze.target]):
-        raise ExtractionFailed("path fixpoint does not cover source and target")
-    return ExtractResult(mask=mask, steps_used=state.step - 1)
+    one before the fixpoint is detected.  A batch of one."""
+    return extract_batch([bfs], observe)[0]

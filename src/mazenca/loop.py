@@ -1,14 +1,30 @@
-"""The one run loop of the automata.
+"""The run loops of the automata.
 
-Each automaton owns its step function and its halting predicate; ``run``
-applies them, so every halting rule is written once.  ``observe`` sees every
+Each automaton owns its step function and its halting predicate; the loops
+apply them, so every halting rule is written once.  ``observe`` sees every
 state, the halting one included: trace export, rendering and the per-step
 verification invariants all hang off it.
+
+``run`` steps one state; the DFS runs through it.  ``run_canvas`` steps a
+canvas, the one runner of the framed automata (the floods and the
+extraction): copies of one automaton over mazes of one shape, stacked along
+the rows of a single framed state, each copy's H rows followed by one gutter
+row that its automaton holds at zero, as it holds its frame's border.  Row 0
+is the top border and the last copy's gutter is the bottom border, so copy
+j's own frame is rows j (H + 1) to (j + 1) (H + 1) inclusive, and a canvas
+of one copy is exactly a single run's frame.  A copy halts by its own
+predicate and is read out at its halting step; it then rides along, masked
+out, until at least half of the canvas has halted, and then the halted
+copies' rows leave the canvas in one copy, so later steps pay only for live
+copies.  A single run is a canvas of one copy, so there is no second path.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable
+
+import numpy as np
 
 
 def run(step_fn: Callable, state: Any, halted: Callable, horizon: int,
@@ -24,3 +40,72 @@ def run(step_fn: Callable, state: Any, halted: Callable, horizon: int,
         if halted(prev, state):
             return state, True
     return state, False
+
+
+def copy_rows(frame: np.ndarray, copies: int) -> int:
+    """Rows per copy of a canvas ``frame`` (C x rows x columns) holding
+    ``copies`` copies: each copy's H rows and its gutter row."""
+    return (frame.shape[1] - 1) // copies
+
+
+def copy_frame(plane: np.ndarray, j: int, copies: int) -> np.ndarray:
+    """Copy ``j``'s own frame of a canvas plane of ``copies`` copies: its
+    rows between the gutters above and below it, both included.  A view for
+    a canvas of one copy, otherwise a contiguous copy."""
+    rows = copy_rows(plane, copies)
+    return np.ascontiguousarray(plane[:, j * rows : (j + 1) * rows + 1])
+
+
+def _keep(frame: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The canvas frame with only the copies where ``keep`` (one bool per
+    copy) holds, the top border row included, in one new array."""
+    rows = np.repeat(keep, copy_rows(frame, len(keep)))
+    return np.compress(np.concatenate(([True], rows)), frame, axis=1)
+
+
+def run_canvas(step_fn: Callable, state: Any, copies: int, halted: Callable,
+               read: Callable, horizon: int,
+               observe: Callable | None = None) -> np.ndarray:
+    """Step a canvas of ``copies`` copies until every copy has halted or
+    ``horizon`` steps have run.  ``state`` has a ``frame`` and a ``const``
+    plane laid out as the canvas; ``halted(prev, state, m)`` says which of
+    the canvas's m copies halt at this step, and ``read(state, done, ids)``
+    reads out the copies where ``done`` holds, whose batch indices are
+    ``ids``: each copy once, at its halting step, or at the last step if it
+    never halts.  Returns the batch indices of the copies that never halted.
+
+    A read copy stays on the canvas, masked out, until at least half of the
+    canvas has halted; then the halted copies' rows leave the frame and the
+    constant plane together.  That is exact when a gutter row's constant
+    plane holds it at zero whichever copies neighbour it, which each
+    automaton's kernels guarantee.  A step returns a fresh state, so
+    ``prev`` needs no copy, and the canvas holds at most two frames."""
+    ids = np.arange(copies)  # canvas copy j is batch copy ids[j]
+    gone = np.zeros(copies, dtype=bool)  # canvas copy j halted and was read
+    n_gone = 0
+    for _ in range(horizon):
+        prev = state
+        state = step_fn(prev)
+        if observe is not None:
+            observe(state)
+        done = halted(prev, state, len(ids))
+        if n_gone:
+            done &= ~gone
+        n_done = np.count_nonzero(done)
+        if not n_done:
+            continue
+        read(state, done, ids[done])
+        n_gone += n_done
+        if n_gone == len(ids):
+            return ids[:0]
+        gone |= done
+        # a read copy rides along until dropping the halted copies pays for
+        # the copy of the rest
+        if 2 * n_gone >= len(ids):
+            keep = ~gone
+            state = replace(state, frame=_keep(state.frame, keep),
+                            const=_keep(state.const, keep))
+            ids, gone, n_gone = ids[keep], gone[keep], 0
+    live = ~gone
+    read(state, live, ids[live])
+    return ids[live]

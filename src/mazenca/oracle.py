@@ -1,5 +1,12 @@
 """Classical reference implementations: ground truth for every automaton
-and for dataset labeling."""
+and for dataset labeling.
+
+Each oracle is a plain deque BFS, DFS or heap over Python lists, and shares
+no code with the automata it checks.  ``diameter_oracle`` runs one full BFS
+from every empty tile, over neighbour lists built once per maze; it prunes
+nothing, so it stays independent of the eccentricity bounds that
+``diameter_nca`` uses.
+"""
 
 from __future__ import annotations
 
@@ -136,22 +143,30 @@ def flat_open_tiles(maze: Maze) -> tuple[list[bool], int]:
     return framed.ravel().tolist(), stride
 
 
-def flat_distances(open_tiles: list[bool], stride: int, src: int) -> list[int]:
-    """Deque BFS over a framed flat grid: moves from ``src`` to every cell,
-    -1 where unreachable."""
-    dist = [-1] * len(open_tiles)
+def neighbour_lists(open_tiles: list[bool], stride: int) -> list[tuple[int, ...]]:
+    """For each cell of a framed flat grid (``flat_open_tiles``), the open
+    cells one move away, in the order down, right, up, left; empty for a
+    wall.  The frame keeps every move of an open cell inside the list."""
+    moves = (stride, 1, -stride, -1)
+    return [tuple(i + m for m in moves if open_tiles[i + m]) if is_open else ()
+            for i, is_open in enumerate(open_tiles)]
+
+
+def tile_distances(neighbours: list[tuple[int, ...]], src: int) -> tuple[list[int], int]:
+    """Deque BFS over ``neighbour_lists``: moves from ``src`` to every cell,
+    -1 where unreachable, and the last cell dequeued, which lies at the
+    greatest distance."""
+    dist = [-1] * len(neighbours)
     dist[src] = 0
     q = deque([src])
-    moves = (stride, 1, -stride, -1)
     while q:
-        i = q.popleft()
-        d = dist[i] + 1
-        for m in moves:
-            j = i + m
-            if open_tiles[j] and dist[j] < 0:
+        last = q.popleft()
+        d = dist[last] + 1
+        for j in neighbours[last]:
+            if dist[j] < 0:
                 dist[j] = d
                 q.append(j)
-    return dist
+    return dist, last
 
 
 def reachable(maze: Maze, src: tuple[int, int], dst: tuple[int, int]) -> bool:
@@ -183,18 +198,20 @@ def diameter_oracle(maze: Maze) -> tuple[int, tuple[tuple[int, int], tuple[int, 
 
     Returns (length, (u, v)) with u the first tile (row-major) achieving the
     maximum eccentricity and v the first tile farthest from u.  One full BFS
-    runs from every empty tile.
+    runs from every empty tile, and its last dequeued tile gives the
+    eccentricity.
     """
     open_tiles, stride = flat_open_tiles(maze)
     if not any(open_tiles):
         raise MazeError("maze has no empty tiles")
+    neighbours = neighbour_lists(open_tiles, stride)
     best_len = -1
     best_pair = None
     for u, is_open in enumerate(open_tiles):  # flat order is row-major
         if not is_open:
             continue
-        dist = flat_distances(open_tiles, stride, u)
-        ecc = max(dist)
+        dist, last = tile_distances(neighbours, u)
+        ecc = dist[last]
         if ecc + 1 > best_len:
             far = dist.index(ecc)
             best_len = ecc + 1

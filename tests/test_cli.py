@@ -129,6 +129,25 @@ def test_evolve_command(tmp_path, capsys):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("threshold", ["1.0", "0.0"])
+@pytest.mark.parametrize("flips", ["0", "-3"])
+def test_evolve_without_flips_is_usage_error(tmp_path, capsys, flips, threshold):
+    # with threshold 1.0 every generation mutates, with 0.0 none does; both
+    # fail before any work, and write nothing
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "4", "--size", "6",
+          "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    out, stats = tmp_path / "e.jsonl", tmp_path / "s.csv"
+    assert main(["evolve", "--dataset", str(data), "--solver", "zeros",
+                 "--generations", "2", "--out", str(out), "--stats-out", str(stats),
+                 "--batch-size", "2", "--n-flips", flips, "--loss-threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"--n-flips must be at least 1, got {flips}"
+    assert not out.exists() and not stats.exists()
+
+
 def test_trace_command_and_determinism(tmp_path):
     path = write_maze(tmp_path, "S...T")
     t1, t2 = tmp_path / "a.trace", tmp_path / "b.trace"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazenca import diameter
+from mazenca import diameter, loop
 from mazenca.bfs import N_HIDDEN, build_bfs_weights, run_bfs
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
@@ -223,7 +223,7 @@ def test_canvas_builds_its_constant_plane_once(monkeypatch):
     # floods from different tiles settle at different steps, yet the plane
     # is built once
     assert len(set(ages.tolist())) > 1
-    assert calls == [(4, len(tiles) * 4, 4)]
+    assert calls == [(4, len(tiles) * 4 - 1, 4)]
 
 
 def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
@@ -233,7 +233,7 @@ def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
     # of those four settle, so two stay; at step 10 the last two settle.
     # Frame and constant plane leave together, and the plane is built once.
     kept, planes = [], []
-    keep, plane = diameter._keep, diameter.flood_plane
+    keep, plane = loop._keep, diameter.flood_plane
 
     def recording_keep(frame, live):
         kept.append((len(live), int(live.sum())))
@@ -243,14 +243,14 @@ def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
         planes.append(onehot.shape)
         return plane(onehot)
 
-    monkeypatch.setattr(diameter, "_keep", recording_keep)
+    monkeypatch.setattr(loop, "_keep", recording_keep)
     monkeypatch.setattr(diameter, "flood_plane", counting_plane)
     maze = walls_only(".........")
     ages, far, _ = single_ages(maze, np.argwhere(~maze.walls))
     assert ages.tolist() == [max(x, 8 - x) + 1 for x in range(9)]
     assert far.tolist() == [[0, 8] if x < 4 else [0, 0] for x in range(9)]
     assert kept == [(9, 4), (9, 4), (4, 2), (4, 2)]
-    assert planes == [(4, 9 * 2, 9)]
+    assert planes == [(4, 9 * 2 - 1, 9)]
 
 
 def assert_same_run(got, want, msg):

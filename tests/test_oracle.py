@@ -127,22 +127,48 @@ def test_diameter_oracle_runs_one_full_bfs_per_empty_tile(monkeypatch):
     # empty tile gets its own unpruned BFS, which matches distance_map
     maze = generate_maze(GenConfig(width=9, height=7, task="diameter", seed=3))
     sources = []
-    original = oracle.flat_distances
+    original = oracle.tile_distances
+    stride = maze.width + 1
 
-    def counting(open_tiles, stride, src):
-        dist = original(open_tiles, stride, src)
+    def counting(neighbours, src):
+        dist, last = original(neighbours, src)
         sources.append(src)
         y, x = divmod(src, stride)
         framed = np.full((maze.height + 2, stride), -1)
         framed[1:-1, :-1] = distance_map(maze, (y - 1, x))
         assert dist == framed.ravel().tolist()
-        return dist
+        return dist, last
 
-    monkeypatch.setattr(oracle, "flat_distances", counting)
+    monkeypatch.setattr(oracle, "tile_distances", counting)
     diameter_oracle(maze)
-    stride = maze.width + 1
     tiles = [(y + 1) * stride + x for y, x in np.argwhere(~maze.walls)]
     assert sources == tiles
+
+
+def reference_diameter(maze):
+    """The diameter from ``distance_map`` of every empty tile: the first
+    row-major tile u of greatest eccentricity, and the first row-major tile
+    farthest from u."""
+    best = None
+    for u in np.argwhere(~maze.walls):
+        dist = distance_map(maze, (int(u[0]), int(u[1])))
+        if best is None or dist.max() > best[0].max():
+            best = dist, (int(u[0]), int(u[1]))
+    dist, u = best
+    v = divmod(int(np.argmax(dist)), maze.width)
+    return int(dist.max()) + 1, (u, v)
+
+
+def test_diameter_oracle_matches_distance_maps_from_every_tile():
+    # 1xN and Nx1 corridors, all-open and single-tile grids, then random
+    # grids of every density; the tie rules are the reference's
+    mazes = sweep_mazes(400, 10, seed=61)
+    for maze in mazes:
+        assert diameter_oracle(maze) == reference_diameter(maze), str(maze.walls)
+    shapes = {maze.walls.shape for maze in mazes}
+    assert {(1, 10), (10, 1), (1, 1)} <= shapes
+    assert any((~maze.walls).all() and maze.walls.size > 1 for maze in mazes)
+    assert any(np.count_nonzero(~maze.walls) == 1 and maze.walls.size > 1 for maze in mazes)
 
 
 def test_normalized_accuracy_anchors():

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import mazenca.bfs
-from mazenca import bfs, dfs, extract
+from mazenca import bfs, dfs, extract, loop
 from mazenca.bfs import run_bfs
 from mazenca.cli import main
 from mazenca.dataset import read_trace
 from mazenca.dfs import run_dfs
-from mazenca.extract import run_extract
-from mazenca.grid import GenConfig, generate_maze, parse_maze, render_maze
+from mazenca.extract import ExtractionFailed, run_extract
+from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
 from mazenca.loop import run
 from mazenca.tensor import KernelStack
+from sweep import sweep_mazes
 from test_tensor import naive_conv2d
 
 # 12 x 9 maze whose traces are pinned byte for byte; the DFS starts at S,
@@ -188,3 +189,92 @@ def test_static_stack_is_convolved_once_per_run(monkeypatch):
     calls.clear()
     steps = run_dfs(maze, (8, 3)).steps_used
     assert calls == {("mazenca.dfs", "static"): 1, ("mazenca.dfs", "dynamic"): steps}
+
+
+def _endpoints_sweep(n, seed):
+    """Sweep mazes with a seeded source and target, and 48 20 x 20 mazes
+    of wall probability 0.2 and 0.3 from their first to their last empty
+    tile, reachable or not, grouped by shape."""
+    groups = {}
+    for i, maze in enumerate(sweep_mazes(n, 12, seed=seed)):
+        empties = [tuple(int(v) for v in t) for t in np.argwhere(~maze.walls)]
+        if len(empties) < 2:
+            continue
+        rng = np.random.default_rng([seed, i])
+        source, target = (empties[k] for k in rng.choice(len(empties), 2, replace=False))
+        groups.setdefault(maze.walls.shape, []).append(
+            Maze(walls=maze.walls, source=source, target=target))
+    for i in range(48):
+        walls = np.random.default_rng([seed, 20, i]).random((20, 20)) < 0.2 + 0.1 * (i % 2)
+        empties = np.argwhere(~walls)
+        groups.setdefault(walls.shape, []).append(Maze(
+            walls=walls, source=tuple(int(v) for v in empties[0]),
+            target=tuple(int(v) for v in empties[-1])))
+    return list(groups.values())
+
+
+def assert_same_flood(got, want, msg):
+    assert (got.met, got.meet_step, got.final.step, got.maze) == \
+        (want.met, want.meet_step, want.final.step, want.maze), msg
+    for plane in ("frame", "const"):
+        a, b = getattr(got.final, plane), getattr(want.final, plane)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (plane, msg)
+
+
+@pytest.mark.parametrize("max_steps", [None, 16, 3])
+def test_flood_and_extraction_batches_match_their_single_runs(monkeypatch, max_steps):
+    # Sweep mazes grouped by shape run as one flood batch and one
+    # extraction batch of their met floods.  Copies meet, prove their target
+    # unreachable, or run out of steps at different steps, so the canvases
+    # drop halted copies while others still run.
+    kept = []
+    keep = loop._keep
+
+    def recording_keep(frame, live):
+        kept.append(len(live))
+        return keep(frame, live)
+
+    monkeypatch.setattr(loop, "_keep", recording_keep)
+    groups = _endpoints_sweep(320, seed=29)
+    assert sum(len(group) for group in groups) >= 300
+    outcomes = Counter()
+    for group in groups:
+        singles = [run_bfs(maze, max_steps) for maze in group]
+        batch = bfs.bfs_batch(group, max_steps)
+        assert len(batch) == len(group)
+        for got, want in zip(batch, singles):
+            assert_same_flood(got, want, str(want.maze.walls))
+            outcomes["met" if want.met else "capped" if want.final.step == max_steps
+                     else "unreachable"] += 1
+        met = [result for result in batch if result.met]
+        paths = extract.extract_batch(met)
+        for got, result in zip(paths, met):
+            want = run_extract(result)
+            assert got.steps_used == want.steps_used, str(result.maze.walls)
+            assert got.mask.dtype == want.mask.dtype and np.array_equal(got.mask, want.mask)
+    assert outcomes["met"] > 100 and outcomes["unreachable"] > 10
+    assert outcomes["capped"] > 10 if max_steps else outcomes["capped"] == 0
+    assert len(kept) > 20
+
+
+def test_extraction_batch_raises_what_its_copies_raise():
+    # a flood whose maze names a target off its extracted path fails its
+    # single extraction; a batch fails with it, and without it does not
+    mazes = [parse_maze("S....\n.....\n....T"), parse_maze("S.#..\n..#..\n....T"),
+             parse_maze(".....\n.S.T.\n.....")]
+    floods = bfs.bfs_batch(mazes)
+    bad = floods[1]
+    moved = bfs.BfsResult(met=True, meet_step=bad.meet_step, final=bad.final,
+                          maze=Maze(walls=bad.maze.walls, source=bad.maze.source, target=(0, 4)))
+    with pytest.raises(ExtractionFailed) as single:
+        run_extract(moved)
+    with pytest.raises(ExtractionFailed) as batch:
+        extract.extract_batch([floods[0], moved, floods[2]])
+    assert str(batch.value) == str(single.value)
+    assert [r.mask.tolist() for r in extract.extract_batch(floods)] == \
+        [run_extract(f).mask.tolist() for f in floods]
+    with pytest.raises(MazeError, match="met flood"):
+        extract.extract_batch([floods[0], run_bfs(parse_maze("S#T"))])
+    with pytest.raises(MazeError, match="one shape"):
+        bfs.bfs_batch([mazes[0], parse_maze("S.T")])
+    assert bfs.bfs_batch([]) == [] and extract.extract_batch([]) == []
