@@ -8,7 +8,7 @@ eccentricity bounds -- plus oracles, dataset tooling, and an adversarial
 dataset-evolution loop.
 """
 
-from .bfs import BfsResult, BfsState, run_bfs
+from .bfs import BfsResult, BfsState, bfs_batch, run_bfs
 from .dataset import (
     DatasetRecord,
     read_dataset,
@@ -19,7 +19,7 @@ from .dataset import (
 from .dfs import DfsTrace, run_dfs
 from .diameter import DiameterRun, diameter_batch, diameter_nca, schedule_dijkstra_calls
 from .evolve import EvolutionConfig, GenerationStats, label_maze, run_evolution
-from .extract import ExtractResult, ExtractionFailed, run_extract
+from .extract import ExtractResult, ExtractionFailed, extract_batch, run_extract
 from .grid import (
     GenConfig,
     Maze,
@@ -71,12 +71,14 @@ __all__ = [
     "SolverProtocolError",
     "Unreachable",
     "ZerosSolver",
+    "bfs_batch",
     "canonical_shortest_path",
     "dfs_order",
     "diameter_batch",
     "diameter_nca",
     "diameter_oracle",
     "distance_map",
+    "extract_batch",
     "generate_maze",
     "label_maze",
     "make_solver",

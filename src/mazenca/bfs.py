@@ -105,10 +105,11 @@ def initial_state(mazes: Sequence[Maze]) -> BfsState:
     H, W = mazes[0].walls.shape
     onehot = np.zeros((4, len(mazes) * (H + 1) - 1, W), flood_dtype(H, W))
     for j, maze in enumerate(mazes):
+        if j:
+            onehot[CH_WALL, j * (H + 1) - 1] = 1
         onehot[:, j * (H + 1) : j * (H + 1) + H] = one_hot(maze)
-    onehot[CH_WALL, H :: H + 1] = 1
     const = flood_plane(onehot)
-    return BfsState(frame=np.zeros_like(const), const=const)
+    return BfsState(frame=np.zeros(const.shape, const.dtype), const=const)
 
 
 def bfs_step(state: BfsState) -> BfsState:
@@ -145,8 +146,14 @@ def floods_halted(prev: BfsState, state: BfsState, copies: int = 1) -> np.ndarra
     """Bidirectional halting rule, per copy: the floods overlap, or the
     source flood stopped changing without an overlap.  A settled source
     flood covers its whole component and the target flood always holds the
-    target, so the second case proves the target unreachable."""
-    return floods_met(state, copies) | flood_fixpoint(prev, state, copies)
+    target, so the second case proves the target unreachable.  The
+    fixpoint is compared only while some copy has not met."""
+    met = floods_met(state, copies)
+    n_met = np.count_nonzero(met)
+    if n_met == copies:
+        return met
+    settled = flood_fixpoint(prev, state, copies)
+    return settled | met if n_met else settled
 
 
 def bfs_batch(
@@ -172,10 +179,9 @@ def bfs_batch(
             raise MazeError("a flood batch needs mazes of one shape")
     results: list[BfsResult] = [None] * len(mazes)
 
-    def read(state: BfsState, done: np.ndarray, ids: np.ndarray) -> None:
-        m = len(done)
+    def read(state: BfsState, m: int, at: np.ndarray, ids: np.ndarray) -> None:
         met = floods_met(state, m)
-        for j, i in zip(done.nonzero()[0].tolist(), ids.tolist()):
+        for j, i in zip(at.tolist(), ids.tolist()):
             final = BfsState(frame=copy_frame(state.frame, j, m),
                              const=copy_frame(state.const, j, m), step=state.step)
             results[i] = BfsResult(met=bool(met[j]), meet_step=state.step if met[j] else None,

@@ -95,16 +95,16 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
 
 
 def _read_settled(
-    frame: np.ndarray, settled: np.ndarray, tiles: np.ndarray, upper: np.ndarray
+    frame: np.ndarray, m: int, at: np.ndarray, tiles: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The floods of the canvas copies where ``settled`` holds, from
-    ``tiles`` (s x 3): each source's age and each flood's farthest tile.
-    Each flood's bounds on its maze's tiles are folded into ``upper`` (one
-    flat plane per maze)."""
+    """The floods of the copies at positions ``at`` of a canvas of ``m``,
+    from ``tiles`` (s x 3): each source's age and each flood's farthest
+    tile.  Each flood's bounds on its maze's tiles are folded into ``upper``
+    (one flat plane per maze)."""
     which, rows, cols = tiles.T
-    m, W = len(settled), frame.shape[2] - 2
+    W = frame.shape[2] - 2
     # each copy's rows end with its gutter row
-    hidden = frame[:, 1:].reshape(N_HIDDEN, m, -1, W + 2)[:, settled, :-1, 1:-1]
+    hidden = frame[:, 1:].reshape(N_HIDDEN, m, -1, W + 2)[:, at, :-1, 1:-1]
     flood_ages = hidden[AGE].reshape(len(tiles), -1)
     flooded = hidden[FLOOD_S].reshape(len(tiles), -1) > 0
     ages = flood_ages[np.arange(len(tiles)), rows * W + cols].astype(np.int64)
@@ -158,8 +158,8 @@ def source_ages(
     far = np.zeros((n, 2), dtype=np.int64)
     upper = np.full((len(mazes), H * W), NO_BOUND, dtype=np.int64)
 
-    def read(state: BfsState, settled: np.ndarray, done: np.ndarray) -> None:
-        ages[done], far[done] = _read_settled(state.frame, settled, tiles[done], upper)
+    def read(state: BfsState, m: int, at: np.ndarray, done: np.ndarray) -> None:
+        ages[done], far[done] = _read_settled(state.frame, m, at, tiles[done], upper)
 
     left = run_canvas(bfs_step, BfsState(frame=np.zeros_like(const), const=const), n,
                       flood_fixpoint, read, flood_horizon(H, W))

@@ -133,9 +133,9 @@ def extract_batch(
                             axis=1)
     results: list[ExtractResult] = [None] * len(floods)
 
-    def read(state: ExtractState, done: np.ndarray, ids: np.ndarray) -> None:
-        rows = copy_rows(state.frame, len(done))
-        for j, i in zip(done.nonzero()[0].tolist(), ids.tolist()):
+    def read(state: ExtractState, m: int, at: np.ndarray, ids: np.ndarray) -> None:
+        rows = copy_rows(state.frame, m)
+        for j, i in zip(at.tolist(), ids.tolist()):
             mask = state.frame[PATH, j * rows + 1 : (j + 1) * rows, 1:-1] > 0
             results[i] = ExtractResult(mask=mask, steps_used=state.step - 1)
 

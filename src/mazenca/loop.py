@@ -50,8 +50,10 @@ def copy_rows(frame: np.ndarray, copies: int) -> int:
 
 def copy_frame(plane: np.ndarray, j: int, copies: int) -> np.ndarray:
     """Copy ``j``'s own frame of a canvas plane of ``copies`` copies: its
-    rows between the gutters above and below it, both included.  A view for
-    a canvas of one copy, otherwise a contiguous copy."""
+    rows between the gutters above and below it, both included.  The plane
+    itself for a canvas of one copy, otherwise a contiguous copy."""
+    if copies == 1:
+        return plane
     rows = copy_rows(plane, copies)
     return np.ascontiguousarray(plane[:, j * rows : (j + 1) * rows + 1])
 
@@ -69,10 +71,11 @@ def run_canvas(step_fn: Callable, state: Any, copies: int, halted: Callable,
     """Step a canvas of ``copies`` copies until every copy has halted or
     ``horizon`` steps have run.  ``state`` has a ``frame`` and a ``const``
     plane laid out as the canvas; ``halted(prev, state, m)`` says which of
-    the canvas's m copies halt at this step, and ``read(state, done, ids)``
-    reads out the copies where ``done`` holds, whose batch indices are
-    ``ids``: each copy once, at its halting step, or at the last step if it
-    never halts.  Returns the batch indices of the copies that never halted.
+    the canvas's m copies halt at this step, and ``read(state, m, at, ids)``
+    reads out the copies at positions ``at`` of the canvas's m, whose batch
+    indices are ``ids``: each copy once, at its halting step, or at the last
+    step if it never halts.  Returns the batch indices of the copies that
+    never halted.
 
     A read copy stays on the canvas, masked out, until at least half of the
     canvas has halted; then the halted copies' rows leave the frame and the
@@ -82,30 +85,30 @@ def run_canvas(step_fn: Callable, state: Any, copies: int, halted: Callable,
     ``prev`` needs no copy, and the canvas holds at most two frames."""
     ids = np.arange(copies)  # canvas copy j is batch copy ids[j]
     gone = np.zeros(copies, dtype=bool)  # canvas copy j halted and was read
-    n_gone = 0
+    m, n_gone = copies, 0
     for _ in range(horizon):
         prev = state
         state = step_fn(prev)
         if observe is not None:
             observe(state)
-        done = halted(prev, state, len(ids))
+        done = halted(prev, state, m)
         if n_gone:
             done &= ~gone
-        n_done = np.count_nonzero(done)
-        if not n_done:
+        at = done.nonzero()[0]
+        if not len(at):
             continue
-        read(state, done, ids[done])
-        n_gone += n_done
-        if n_gone == len(ids):
+        read(state, m, at, ids[at])
+        n_gone += len(at)
+        if n_gone == m:
             return ids[:0]
-        gone |= done
+        gone[at] = True
         # a read copy rides along until dropping the halted copies pays for
         # the copy of the rest
-        if 2 * n_gone >= len(ids):
+        if 2 * n_gone >= m:
             keep = ~gone
             state = replace(state, frame=_keep(state.frame, keep),
                             const=_keep(state.const, keep))
-            ids, gone, n_gone = ids[keep], gone[keep], 0
-    live = ~gone
-    read(state, live, ids[live])
-    return ids[live]
+            ids, gone, m, n_gone = ids[keep], gone[keep], m - n_gone, 0
+    at = (~gone).nonzero()[0]
+    read(state, m, at, ids[at])
+    return ids[at]

@@ -54,9 +54,10 @@ PLANS = 256
 
 def int_dtype(bound: int) -> np.dtype:
     """Narrowest of int8/16/32/64 that holds every value in [-bound, bound]."""
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
+    # the bits' own bound, not np.iinfo, which costs microseconds a run
+    for bits in (8, 16, 32, 64):
+        if bound < 1 << (bits - 1):
+            return np.dtype(f"int{bits}")
     raise MazeError(f"automaton values up to {bound} overflow int64")
 
 
