@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bfs import BfsResult, flood_horizon
-from .loop import copy_rows, run_canvas
+from .loop import run_canvas
 from .grid import MazeError
 from .tensor import KernelStack, conv2d, interior, sawtooth, step, w_center3, w_offset3
 
@@ -134,9 +134,8 @@ def extract_batch(
     results: list[ExtractResult] = [None] * len(floods)
 
     def read(state: ExtractState, m: int, at: np.ndarray, ids: np.ndarray) -> None:
-        rows = copy_rows(state.frame, m)
         for j, i in zip(at.tolist(), ids.tolist()):
-            mask = state.frame[PATH, j * rows + 1 : (j + 1) * rows, 1:-1] > 0
+            mask = state.frame[PATH, j * (H + 1) + 1 : (j + 1) * (H + 1), 1:-1] > 0
             results[i] = ExtractResult(mask=mask, steps_used=state.step - 1)
 
     left = run_canvas(extract_step, initial_state(frozen), len(floods), path_fixpoint, read,

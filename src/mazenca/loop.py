@@ -12,11 +12,8 @@ the rows of a single framed state, each copy's H rows followed by one gutter
 row that its automaton holds at zero, as it holds its frame's border.  Row 0
 is the top border and the last copy's gutter is the bottom border, so copy
 j's own frame is rows j (H + 1) to (j + 1) (H + 1) inclusive, and a canvas
-of one copy is exactly a single run's frame.  A copy halts by its own
-predicate and is read out at its halting step; it then rides along, masked
-out, until at least half of the canvas has halted, and then the halted
-copies' rows leave the canvas in one copy, so later steps pay only for live
-copies.  A single run is a canvas of one copy, so there is no second path.
+of one copy is exactly a single run's frame.  A single run is a canvas of
+one copy, so there is no second path.
 """
 
 from __future__ import annotations
@@ -42,26 +39,21 @@ def run(step_fn: Callable, state: Any, halted: Callable, horizon: int,
     return state, False
 
 
-def copy_rows(frame: np.ndarray, copies: int) -> int:
-    """Rows per copy of a canvas ``frame`` (C x rows x columns) holding
-    ``copies`` copies: each copy's H rows and its gutter row."""
-    return (frame.shape[1] - 1) // copies
-
-
 def copy_frame(plane: np.ndarray, j: int, copies: int) -> np.ndarray:
-    """Copy ``j``'s own frame of a canvas plane of ``copies`` copies: its
-    rows between the gutters above and below it, both included.  The plane
-    itself for a canvas of one copy, otherwise a contiguous copy."""
+    """Copy ``j``'s own frame of a canvas plane (C x rows x columns) of
+    ``copies`` copies: its rows between the gutters above and below it, both
+    included.  The plane itself for a canvas of one copy, otherwise a
+    contiguous copy."""
     if copies == 1:
         return plane
-    rows = copy_rows(plane, copies)
+    rows = (plane.shape[1] - 1) // copies  # a copy's H rows and its gutter
     return np.ascontiguousarray(plane[:, j * rows : (j + 1) * rows + 1])
 
 
 def _keep(frame: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The canvas frame with only the copies where ``keep`` (one bool per
     copy) holds, the top border row included, in one new array."""
-    rows = np.repeat(keep, copy_rows(frame, len(keep)))
+    rows = np.repeat(keep, (frame.shape[1] - 1) // len(keep))
     return np.compress(np.concatenate(([True], rows)), frame, axis=1)
 
 

@@ -124,7 +124,8 @@ def test_diameter_singleton():
 
 def test_diameter_oracle_runs_one_full_bfs_per_empty_tile(monkeypatch):
     # the oracle must not share the eccentricity pruning it checks: every
-    # empty tile gets its own unpruned BFS, which matches distance_map
+    # empty tile gets its own unpruned BFS, which matches distance_map and
+    # dequeues a farthest tile last
     maze = generate_maze(GenConfig(width=9, height=7, task="diameter", seed=3))
     sources = []
     original = oracle.tile_distances
@@ -137,6 +138,7 @@ def test_diameter_oracle_runs_one_full_bfs_per_empty_tile(monkeypatch):
         framed = np.full((maze.height + 2, stride), -1)
         framed[1:-1, :-1] = distance_map(maze, (y - 1, x))
         assert dist == framed.ravel().tolist()
+        assert dist[last] == max(dist)
         return dist, last
 
     monkeypatch.setattr(oracle, "tile_distances", counting)
