@@ -7,8 +7,12 @@ flood stops growing without an overlap, which proves the target
 unreachable.  ``bfs_batch`` floods a batch of same-shape mazes as copies of
 one canvas (``loop.run_canvas``), each copy halted and read out at its own
 halting step: its floods keep growing after they meet, so it cannot wait.
-``run_bfs`` is a batch of one.  The diameter's single-source floods step the
-same kernels from one source per copy and halt each copy at its fixpoint.
+``run_bfs`` is a batch of one.  The diameter's single-source floods hold
+two planes, FLOOD_S and AGE: with no target in the one-hot, the target
+flood's pre-activation is never positive, so that plane would stay 0 and
+add 0 to the age.  ``bfs_step`` steps either flood, with the paper's stack
+sliced to the planes its state holds (``flood_stacks``), and a
+single-source copy halts at its fixpoint.
 The state is an integer tensor in ``flood_dtype``; the maze one-hot enters
 it once, as the constant plane its kernels add to every step.  The state
 keeps the conv's one-cell border (``tensor.conv2d``).  The constant plane
@@ -31,9 +35,11 @@ from .loop import copy_frame, run_canvas
 from .grid import CH_WALL, Maze, MazeError, one_hot
 from .tensor import KernelStack, conv2d, int_dtype, interior, step, w_center3, w_von_neumann
 
-# hidden channel registry
+# hidden channel registry; a single-source flood holds FLOOD_S and AGE only,
+# its age last, as in every flood
 FLOOD_S, FLOOD_T, AGE = 0, 1, 2
 N_HIDDEN = 3
+SOURCE_PLANES = 2
 # conv input order: hidden channels then the maze one-hot, which every run
 # folds into its constant plane (``flood_plane``)
 IN_FLOOD_S, IN_FLOOD_T, IN_AGE, IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = range(7)
@@ -41,11 +47,11 @@ IN_FLOOD_S, IN_FLOOD_T, IN_AGE, IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = range(
 
 @dataclass(frozen=True)
 class BfsState:
-    frame: np.ndarray  # 3 x (H + 2) x (W + 2), the planes in a zero border
-    const: np.ndarray  # 3 x (H + 2) x (W + 2), the maze one-hot's share of every step
+    frame: np.ndarray  # P x (H + 2) x (W + 2), the planes in a zero border
+    const: np.ndarray  # P x (H + 2) x (W + 2), the maze one-hot's share of every step
     step: int = 0
 
-    hidden = property(interior)  # 3 x H x W
+    hidden = property(interior)  # P x H x W: N_HIDDEN planes, or SOURCE_PLANES
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,20 @@ def _weights() -> KernelStack:
     return build_bfs_weights()
 
 
+@functools.cache
+def flood_stacks(planes: int) -> tuple[KernelStack, KernelStack]:
+    """(dynamic, static) stacks of a flood of ``planes`` planes: the paper's
+    stack for N_HIDDEN, or its FLOOD_S and AGE rows and hidden columns for
+    SOURCE_PLANES.  The static stack takes the maze one-hot's four channels
+    in both."""
+    ks = _weights()
+    if planes == SOURCE_PLANES:
+        inputs = [IN_FLOOD_S, IN_AGE, IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET]
+        ks = KernelStack(weights=ks.weights[[FLOOD_S, AGE]][:, inputs],
+                         bias=ks.bias[[FLOOD_S, AGE]])
+    return ks.split(planes)
+
+
 def flood_dtype(height: int, width: int) -> np.dtype:
     """Integer dtype of a flood over an H x W maze."""
     # every flood halts by step flood_horizon = H*W + 1, and an age grows by
@@ -88,15 +108,16 @@ def flood_dtype(height: int, width: int) -> np.dtype:
     return int_dtype(max(flood_horizon(height, width), 6))
 
 
-def flood_plane(onehot: np.ndarray) -> np.ndarray:
-    """Framed constant plane of a flood over a 4 x H x W maze one-hot framed
-    with walls, in the one-hot's dtype.  Every static tap is a centre tap, so
-    the wall frame is convolved as the interior of a second frame."""
+def flood_plane(onehot: np.ndarray, planes: int = N_HIDDEN) -> np.ndarray:
+    """Framed constant plane of a flood of ``planes`` planes over a
+    4 x H x W maze one-hot framed with walls, in the one-hot's dtype.  Every
+    static tap is a centre tap, so the wall frame is convolved as the
+    interior of a second frame."""
     _, H, W = onehot.shape
     walled = np.zeros((4, H + 4, W + 4), onehot.dtype)
     walled[CH_WALL, 1:-1, 1:-1] = 1
     walled[:, 2:-2, 2:-2] = onehot
-    return np.ascontiguousarray(conv2d(walled, _weights().split(N_HIDDEN)[1])[:, 1:-1, 1:-1])
+    return np.ascontiguousarray(conv2d(walled, flood_stacks(planes)[1])[:, 1:-1, 1:-1])
 
 
 def initial_state(mazes: Sequence[Maze]) -> BfsState:
@@ -113,8 +134,10 @@ def initial_state(mazes: Sequence[Maze]) -> BfsState:
 
 
 def bfs_step(state: BfsState) -> BfsState:
-    out = conv2d(state.frame, _weights().split(N_HIDDEN)[0], state.const)
-    floods = out[FLOOD_S : FLOOD_T + 1]
+    """One step of the flood the state holds: its flood planes are all but
+    the last, and its age is the last."""
+    out = conv2d(state.frame, flood_stacks(len(state.frame))[0], state.const)
+    floods = out[:-1]
     step(floods, out=floods)
     # age is an exact integer accumulation; never negative, so relu is a no-op
     return BfsState(frame=out, const=state.const, step=state.step + 1)

@@ -7,15 +7,18 @@ them on shared channels, with per-launch waiting times, so that they never
 collide.  Here a canvas (``loop.run_canvas``) stands in for that schedule:
 every flood gets its own copy of its maze, in the flood's integer dtype,
 with a wall row between neighbouring copies, and each conv step advances
-all of them at once.  A canvas holds floods from several mazes of one
-shape, each copy tagged with its maze.  A wall row never floods and its age
-stays 0, so it isolates the copies exactly as zero padding isolates a single
-run.  A copy whose flood stopped changing has reached its fixpoint
-(``bfs.flood_fixpoint``); its source age, its farthest tile and its bounds
-are read at that step (``_read_settled``).  It stays at its fixpoint, so it
-rides along until the runner drops it.  The canvas's constant plane is built
-once; a leaving copy's rows are dropped from it, which is exact because
-every static flood tap is a centre tap.
+all of them at once.  A copy holds only the FLOOD_S and AGE planes: with no
+target, the paper's FLOOD_T stays 0 (``bfs.flood_stacks``).  A canvas holds
+floods from several mazes of one shape, each copy tagged with its maze.  A
+wall row never floods and its age stays 0, so it isolates the copies
+exactly as zero padding isolates a single run.  A copy whose flood stopped
+changing has reached its fixpoint (``bfs.flood_fixpoint``); its ages are
+copied out at that step, and it rides along until the runner drops it.
+After the canvas run, the source ages, the farthest tiles and the bounds of
+all its floods are read from those copies at once, and each maze's bounds
+are folded once.  Every static flood tap is a centre tap, so the constant
+plane is built once per maze and gathered for its copies, each adding its
+own source's tap, and a leaving copy's rows are dropped from it.
 
 Only the tiles that could still hold the diameter flood, as in Takes and
 Kosters' BoundingDiameters (CIKM 2011).  A settled flood from u gives the
@@ -44,9 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .bfs import (
-    AGE,
-    FLOOD_S,
-    N_HIDDEN,
+    SOURCE_PLANES,
     BfsState,
     bfs_batch,
     bfs_step,
@@ -54,6 +55,7 @@ from .bfs import (
     flood_fixpoint,
     flood_horizon,
     flood_plane,
+    flood_stacks,
 )
 from .dfs import DfsTrace
 from .extract import extract_batch
@@ -94,56 +96,37 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
-def _read_settled(
-    frame: np.ndarray, m: int, at: np.ndarray, tiles: np.ndarray, upper: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The floods of the copies at positions ``at`` of a canvas of ``m``,
-    from ``tiles`` (s x 3): each source's age and each flood's farthest
-    tile.  Each flood's bounds on its maze's tiles are folded into ``upper``
-    (one flat plane per maze)."""
-    which, rows, cols = tiles.T
-    W = frame.shape[2] - 2
-    # each copy's rows end with its gutter row
-    hidden = frame[:, 1:].reshape(N_HIDDEN, m, -1, W + 2)[:, at, :-1, 1:-1]
-    flood_ages = hidden[AGE].reshape(len(tiles), -1)
-    flooded = hidden[FLOOD_S].reshape(len(tiles), -1) > 0
-    ages = flood_ages[np.arange(len(tiles)), rows * W + cols].astype(np.int64)
-    flat = np.argmin(np.where(flooded, flood_ages, np.iinfo(frame.dtype).max), axis=1)
-    bound = 2 * ages[:, None] - flood_ages
-    bound[~flooded] = NO_BOUND
-    np.minimum.at(upper, which, bound)
-    return ages, np.stack(np.divmod(flat, W), axis=1)
-
-
 def _canvas_plane(mazes: Sequence[Maze], tiles: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Constant plane of a canvas with one copy of maze ``m`` per tile
+    """Constant plane of a canvas with one copy of maze m per tile
     (m, row, column), that tile its source, and a wall row between
-    neighbouring copies.  The plane's values are flood pre-activations of
-    the one-hot alone, in [-6, 1], so it is built in int8 and cast to
-    ``dtype`` once, which keeps the canvas-sized arrays of the build at one
-    byte a cell."""
+    neighbouring copies.  Every static flood tap is a centre tap, so the
+    mazes' planes are built once, on a canvas of one copy per maze; each
+    copy gathers its maze's rows, its gutter row included, and its source
+    trades the empty tile's tap for the source's."""
     H, W = mazes[0].walls.shape
     which, rows, cols = tiles.T
-    n = len(tiles)
-    walls = np.stack([maze.walls for maze in mazes])
-    onehot = np.zeros((4, n, H + 1, W), dtype=np.int8)
-    onehot[CH_WALL, :, :H] = walls[which]
+    k, n = len(mazes), len(tiles)
+    onehot = np.zeros((4, k, H + 1, W), dtype)
+    onehot[CH_WALL, :, :H] = np.stack([maze.walls for maze in mazes])
     onehot[CH_EMPTY, :, :H] = 1 - onehot[CH_WALL, :, :H]
     onehot[CH_WALL, :, H] = 1
-    onehot[CH_SOURCE, np.arange(n), rows, cols] = 1
-    onehot[CH_EMPTY, np.arange(n), rows, cols] = 0
-    # the last copy's wall row is the frame's bottom border
-    return flood_plane(onehot.reshape(4, -1, W)[:, :-1]).astype(dtype)
+    # the last maze's wall row is the frame's bottom border
+    plane = flood_plane(onehot.reshape(4, -1, W)[:, :-1], SOURCE_PLANES)
+    copies = plane[:, 1:].reshape(SOURCE_PLANES, k, H + 1, W + 2)[:, which]
+    static = flood_stacks(SOURCE_PLANES)[1].weights[:, :, 1, 1]
+    tap = (static[:, CH_SOURCE] - static[:, CH_EMPTY]).astype(dtype)
+    copies[:, np.arange(n), rows, cols + 1] += tap[:, None]
+    return np.concatenate([plane[:, :1], copies.reshape(SOURCE_PLANES, -1, W + 2)], axis=1)
 
 
 def source_ages(
     mazes: Sequence[Maze], tiles: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-source floods from every tile in ``tiles`` (n x 3: the index
-    of its maze in ``mazes``, row, column; empty tiles of same-shape mazes),
-    all on one canvas (``loop.run_canvas``), each run to its fixpoint.
-    Returns the age at each flood's own source (eccentricity + 1), each
-    flood's farthest tile (n x 2): the flooded tile with the least age,
+    of its maze in ``mazes``, row, column; empty tiles of same-shape mazes,
+    maze by maze), all on one canvas (``loop.run_canvas``), each run to its
+    fixpoint.  Returns the age at each flood's own source (eccentricity + 1),
+    each flood's farthest tile (n x 2): the flooded tile with the least age,
     row-major first, and a k x H x W upper bound on every tile's
     eccentricity + 1 in each of the k mazes.
 
@@ -152,20 +135,32 @@ def source_ages(
     bound is the least of these over the maze's floods, NO_BOUND on tiles
     that none reached."""
     H, W = mazes[0].walls.shape
-    n = len(tiles)
+    n, which = len(tiles), tiles[:, 0]
     const = _canvas_plane(mazes, tiles, flood_dtype(H, W))
-    ages = np.zeros(n, dtype=np.int64)
-    far = np.zeros((n, 2), dtype=np.int64)
-    upper = np.full((len(mazes), H * W), NO_BOUND, dtype=np.int64)
+    settled = np.empty((n, H, W), const.dtype)  # each flood's ages at its fixpoint
 
     def read(state: BfsState, m: int, at: np.ndarray, done: np.ndarray) -> None:
-        ages[done], far[done] = _read_settled(state.frame, m, at, tiles[done], upper)
+        # the age is the last plane, and each copy's rows end with its gutter
+        settled[done] = state.frame[-1, 1:].reshape(m, H + 1, W + 2)[at, :H, 1:-1]
 
     left = run_canvas(bfs_step, BfsState(frame=np.zeros_like(const), const=const), n,
                       flood_fixpoint, read, flood_horizon(H, W))
     if len(left):
         raise MazeError(f"{len(left)} floods did not settle within {flood_horizon(H, W)} steps")
-    return ages, far, upper.reshape(-1, H, W)
+
+    # a tile's age counts the steps since its flood reached it, and a
+    # fixpoint comes a step after the last tile flooded, so the flooded
+    # tiles are those of positive age
+    flood_ages = settled.reshape(n, -1)
+    flooded = flood_ages > 0
+    ages = flood_ages[np.arange(n), tiles[:, 1] * W + tiles[:, 2]].astype(np.int64)
+    far = np.argmin(np.where(flooded, flood_ages, np.iinfo(settled.dtype).max), axis=1)
+    bound = 2 * ages[:, None] - flood_ages
+    bound[~flooded] = NO_BOUND
+    upper = np.full((len(mazes), H * W), NO_BOUND, dtype=np.int64)
+    firsts = np.flatnonzero(np.diff(which, prepend=-1))  # each maze's first flood
+    upper[which[firsts]] = np.minimum.reduceat(bound, firsts, axis=0)
+    return ages, np.stack(np.divmod(far, W), axis=1), upper.reshape(-1, H, W)
 
 
 def diameter_batch(mazes: Sequence[Maze]) -> list[DiameterRun]:

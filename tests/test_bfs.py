@@ -9,6 +9,7 @@ from mazenca.bfs import (
     AGE,
     FLOOD_S,
     FLOOD_T,
+    SOURCE_PLANES,
     bfs_step,
     build_bfs_weights,
     run_bfs,
@@ -112,8 +113,9 @@ def test_single_source_fixpoint_age_is_eccentricity_plus_one():
 
 
 def test_single_source_ignores_real_endpoints(monkeypatch):
-    # S and T are plain empty tiles to a single-source flood: no target flood
-    # grows, and the flood from the middle covers the row
+    # S and T are plain empty tiles to a single-source flood: it holds no
+    # target flood, only FLOOD_S and its age, and the flood from the middle
+    # covers the row
     states = []
 
     def canvas_step(state):
@@ -123,8 +125,9 @@ def test_single_source_ignores_real_endpoints(monkeypatch):
     monkeypatch.setattr(diameter, "bfs_step", canvas_step)
     ages, far, _ = diameter.source_ages([parse_maze("S.T")], np.array([[0, 0, 1]]))
     assert ages[0] == 2 and far[0].tolist() == [0, 0]
+    assert all(len(state.frame) == len(state.const) == SOURCE_PLANES for state in states)
     assert np.all(states[-1].hidden[FLOOD_S][0] > 0)
-    assert not any(state.hidden[FLOOD_T].any() for state in states)
+    assert states[-1].hidden[-1][0].tolist() == [1, 2, 1]
 
 
 def test_run_bfs_argument_validation():

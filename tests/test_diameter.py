@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca import diameter, loop
-from mazenca.bfs import N_HIDDEN, build_bfs_weights, run_bfs
+from mazenca.bfs import N_HIDDEN, SOURCE_PLANES, build_bfs_weights, flood_stacks, run_bfs
 from mazenca.dfs import run_dfs
 from mazenca.diameter import (
     DiameterRun,
@@ -117,6 +118,75 @@ def test_path_max_matches_oracle_across_shapes_and_densities():
         assert (upper[maze.walls] == diameter.NO_BOUND).all()
 
 
+def test_bound_fold_matches_oracle_on_chunks_of_chosen_tiles():
+    # diameter_batch floods some of each maze's tiles, maze by maze, in
+    # chunks that may cut a maze or hold none of its tiles.  Each flood's
+    # age is its source's eccentricity + 1 and its farthest tile the first
+    # row-major tile at its greatest distance; each maze's bound on v is the
+    # least ecc(u) + d(u, v) + 1 over its sources u in the chunk, and
+    # NO_BOUND where none of them reached v.
+    by_shape = {}
+    for maze in sweep_mazes(480, 6, seed=89):
+        by_shape.setdefault(maze.walls.shape, []).append(maze)
+    rng = np.random.default_rng(89)
+    chunks = cut = skipped = 0
+    for (H, W), group in by_shape.items():
+        lo = 0
+        while len(group) - lo >= 2:
+            size = int(rng.integers(2, 9))
+            mazes, lo = group[lo : lo + size], lo + size
+            dists = [{(int(y), int(x)): distance_map(maze, (int(y), int(x)))
+                      for y, x in np.argwhere(~maze.walls)} for maze in mazes]
+            # the second maze of a longer chunk keeps none of its tiles
+            chosen = [(i, *tile) for i, d in enumerate(dists) for tile in d
+                      if rng.random() < 0.5 and not (i == 1 and len(mazes) > 2)]
+            if not chosen:
+                continue
+            # a slice of the maze-major list, as diameter_batch cuts its runs
+            a = int(rng.integers(0, (len(chosen) + 1) // 2))
+            b = int(rng.integers(a + 1, len(chosen) + 1))
+            tiles = np.array(chosen[a:b])
+            ages, far, upper = source_ages(mazes, tiles)
+            for (i, y, x), age, f in zip(tiles.tolist(), ages.tolist(), far.tolist()):
+                d = dists[i][y, x]
+                assert age == d.max() + 1, str(mazes[i].walls)
+                assert f == list(divmod(int(np.argmax(d)), W)), str(mazes[i].walls)
+            assert upper.shape == (len(mazes), H, W)
+            for i, maze_dists in enumerate(dists):
+                want = np.full((H, W), diameter.NO_BOUND, dtype=np.int64)
+                for j, y, x in tiles.tolist():
+                    if j == i:
+                        d = maze_dists[y, x]
+                        reached = d >= 0
+                        want[reached] = np.minimum(want[reached], d.max() + d[reached] + 1)
+                np.testing.assert_array_equal(upper[i], want, str(mazes[i].walls))
+            chunks += 1
+            first, last = chosen[a][0], chosen[b - 1][0]
+            cut += (a > 0 and chosen[a - 1][0] == first) or (b < len(chosen) and chosen[b][0] == last)
+            skipped += len(set(tiles[:, 0].tolist())) < len(mazes)
+    assert chunks >= 100 and cut >= 50 and skipped >= 50, (chunks, cut, skipped)
+
+
+# sha256 of every DiameterRun field of the seeded verify mazes (seed 1234):
+# 64 of 16 x 16, then 32 of 9 x 9, as check_diameter runs them, in batches
+# of 8.  Pinned before the two-plane canvas, its one bound fold and its
+# gathered constant plane.
+DIAMETER_SHA256 = "6a9c89c0d071a38597860406d0b1398a60cd87ea915985351c4bfb6385504d1c"
+
+
+def test_diameter_runs_are_unchanged():
+    digest = hashlib.sha256()
+    for size, count in ((16, 64), (9, 32)):
+        mazes = [seeded_maze("diameter", size, size, 1234, i) for i in range(count)]
+        for lo in range(0, count, 8):
+            for run in diameter_batch(mazes[lo : lo + 8]):
+                fields = (run.diameter_len, run.best_endpoint, run.farthest, run.floods,
+                          run.witness.dtype.str, run.witness.shape)
+                digest.update(repr(fields).encode())
+                digest.update(run.witness.tobytes())
+    assert digest.hexdigest() == DIAMETER_SHA256
+
+
 def exhaustive_diameter(maze):
     """Reference: a flood from every empty tile, the first row-major tile of
     greatest age, its flood's farthest tile and the witness between them."""
@@ -200,30 +270,31 @@ def test_gutter_isolates_copies_on_open_grid(monkeypatch, cells):
 
 
 def test_static_flood_taps_are_centre_taps():
-    # the canvas drops a settled copy's rows from its constant plane instead
-    # of rebuilding it, which is exact only while every plane cell depends on
+    # the canvas gathers each copy's constant plane from its maze's and adds
+    # its source's tap, and drops a settled copy's rows from it instead of
+    # rebuilding it, which is exact only while every plane cell depends on
     # its own one-hot cell alone
-    _, static = build_bfs_weights().split(N_HIDDEN)
-    assert static.taps()
-    assert all((i, j) == (1, 1) for _, _, i, j, _ in static.taps())
+    for static in (build_bfs_weights().split(N_HIDDEN)[1], flood_stacks(SOURCE_PLANES)[1]):
+        assert static.taps()
+        assert all((i, j) == (1, 1) for _, _, i, j, _ in static.taps())
 
 
 def test_canvas_builds_its_constant_plane_once(monkeypatch):
     calls = []
     original = diameter.flood_plane
 
-    def counting(onehot):
-        calls.append(onehot.shape)
-        return original(onehot)
+    def counting(onehot, planes):
+        calls.append((onehot.shape, planes))
+        return original(onehot, planes)
 
     monkeypatch.setattr(diameter, "flood_plane", counting)
     maze = walls_only("....\n.#..\n....")
     tiles = np.argwhere(~maze.walls)
     ages, _, _ = single_ages(maze, tiles)
     # floods from different tiles settle at different steps, yet the plane
-    # is built once
+    # is built once, over the one maze, and gathered for all 11 copies
     assert len(set(ages.tolist())) > 1
-    assert calls == [(4, len(tiles) * 4 - 1, 4)]
+    assert calls == [((4, 3, 4), SOURCE_PLANES)]
 
 
 def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
@@ -239,9 +310,9 @@ def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
         kept.append((len(live), int(live.sum())))
         return keep(frame, live)
 
-    def counting_plane(onehot):
+    def counting_plane(onehot, n_planes):
         planes.append(onehot.shape)
-        return plane(onehot)
+        return plane(onehot, n_planes)
 
     monkeypatch.setattr(loop, "_keep", recording_keep)
     monkeypatch.setattr(diameter, "flood_plane", counting_plane)
@@ -250,7 +321,7 @@ def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
     assert ages.tolist() == [max(x, 8 - x) + 1 for x in range(9)]
     assert far.tolist() == [[0, 8] if x < 4 else [0, 0] for x in range(9)]
     assert kept == [(9, 4), (9, 4), (4, 2), (4, 2)]
-    assert planes == [(4, 9 * 2 - 1, 9)]
+    assert planes == [(4, 1, 9)]
 
 
 def assert_same_run(got, want, msg):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazenca import bfs, dfs, diameter, extract
+from mazenca import bfs, dfs, diameter, extract, loop
 from mazenca.bfs import flood_dtype, run_bfs
 from mazenca.dfs import initial_state as dfs_initial_state
 from mazenca.dfs import run_dfs
@@ -305,16 +305,23 @@ def test_framed_states_keep_a_zero_border_and_step_the_unframed_stack(monkeypatc
     # is one step of the whole stack, naive_conv2d plus the activations, on
     # the unframed state before it.  A DFS run stores no border, and its
     # states are read as the observer sees them.
-    canvas, original = [], diameter.bfs_step
+    canvas, keeps, original, keep = [], {}, diameter.bfs_step, loop._keep
 
     def canvas_step(state):
         canvas.append((state, original(state)))
         return canvas[-1][1]
 
+    def recording_keep(plane, live):
+        # the frame and the constant plane leave together, after the step
+        # canvas[len(canvas) - 1]
+        keeps[len(canvas)] = live
+        return keep(plane, live)
+
     monkeypatch.setattr(diameter, "bfs_step", canvas_step)
+    monkeypatch.setattr(loop, "_keep", recording_keep)
     bfs_ks, extract_ks, dfs_ks = (bfs.build_bfs_weights(), extract.build_extract_weights(),
                                   dfs.build_dfs_weights())
-    dynamic, static = bfs_ks.split(bfs.N_HIDDEN)
+    static = bfs_ks.split(bfs.N_HIDDEN)[1]
     for i, maze in enumerate(sweep_mazes(60, 12, seed=14)):
         H, W = maze.walls.shape
         empties = [tuple(int(v) for v in t) for t in np.argwhere(~maze.walls)]
@@ -354,9 +361,11 @@ def test_framed_states_keep_a_zero_border_and_step_the_unframed_stack(monkeypatc
             np.testing.assert_array_equal(hidden, want, f"{i} {t}")
             prev = hidden
 
-        # the canvas's first constant plane against its one-hot, then every
-        # step from the constant plane its copies carry
+        # every step of the single-source canvas against the paper's
+        # three-plane stack on the one-hot of the copies still on it: the
+        # canvas holds its FLOOD_S and AGE planes, and its FLOOD_T stays 0
         canvas.clear()
+        keeps.clear()
         diameter.source_ages([maze], np.array([(0, *t) for t in empties]))
         n = len(empties)
         onehot = np.zeros((4, n, H + 1, W))
@@ -364,14 +373,24 @@ def test_framed_states_keep_a_zero_border_and_step_the_unframed_stack(monkeypatc
         onehot[CH_WALL, :, H] = 1
         onehot[CH_SOURCE, np.arange(n), *np.array(empties).T] = 1
         onehot[CH_EMPTY, np.arange(n), *np.array(empties).T] = 0
-        first = canvas[0][0].const[:, 1:-1, 1:-1]
-        # the last copy's wall row is the frame's bottom border
-        np.testing.assert_array_equal(first, naive_conv2d(onehot.reshape(4, -1, W)[:, :-1], static))
-        for prev, state in canvas:
+        two = [bfs.FLOOD_S, bfs.AGE]
+        live = np.arange(n)
+        for t, (prev, state) in enumerate(canvas):
+            if t in keeps:
+                live = live[keeps[t]]
+            # the last copy's wall row is the frame's bottom border
+            live_onehot = onehot[:, live].reshape(4, -1, W)[:, :-1]
+            if t == 0 or t in keeps:
+                np.testing.assert_array_equal(prev.const[:, 1:-1, 1:-1],
+                                              naive_conv2d(live_onehot, static)[two])
             assert_zero_border(state.frame)
-            assert not state.frame[:, 1:, 1:-1].reshape(bfs.N_HIDDEN, -1, H + 1, W)[:, :, H].any()
-            pre = naive_conv2d(prev.hidden, dynamic) + prev.const[:, 1:-1, 1:-1]
-            np.testing.assert_array_equal(state.hidden, flood_reference(pre), str(i))
+            assert len(state.frame) == bfs.SOURCE_PLANES
+            assert not state.frame[:, 1:, 1:-1].reshape(bfs.SOURCE_PLANES, -1, H + 1, W)[:, :, H].any()
+            paper = np.zeros((bfs.N_HIDDEN, *live_onehot.shape[1:]))
+            paper[two] = prev.hidden
+            want = flood_reference(naive_conv2d(np.concatenate([paper, live_onehot]), bfs_ks))
+            assert not want[bfs.FLOOD_T].any(), str(i)
+            np.testing.assert_array_equal(state.hidden, want[two], str(i))
 
 
 def test_every_automaton_runs_on_integers(monkeypatch):
