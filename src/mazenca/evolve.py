@@ -4,6 +4,11 @@ While the solver under test handles the current dataset comfortably (mean
 loss under the threshold), a sampled batch of mazes is mutated, re-labeled
 with the oracle, and scored by the loss each offspring induces; offspring
 strictly fitter than the least fit incumbents replace them.
+
+Each generation scores every incumbent record by record (``solver_loss``)
+and then all its offspring at once (``batch_losses``), through the solver's
+``solve_batch`` when it has one; either way a maze gets the loss its own
+``solve`` gives, so a solver with a batch path evolves the same datasets.
 """
 
 from __future__ import annotations
@@ -40,10 +45,25 @@ class GenerationStats:
     mutated: bool
 
 
-def solver_loss(solver, record: DatasetRecord) -> float:
-    pred = np.clip(solver.solve(record.maze), 0.0, 1.0)
+def prediction_loss(pred: np.ndarray, record: DatasetRecord) -> float:
+    """Mean squared error of a solver's prediction, clipped to [0, 1],
+    against the record's solution mask."""
     truth = record.solution.astype(np.float64)
-    return float(np.mean((pred - truth) ** 2))
+    return float(np.mean((np.clip(pred, 0.0, 1.0) - truth) ** 2))
+
+
+def solver_loss(solver, record: DatasetRecord) -> float:
+    return prediction_loss(solver.solve(record.maze), record)
+
+
+def batch_losses(solver, records: list[DatasetRecord]) -> list[float]:
+    """``solver_loss`` of every record: one ``solve_batch`` call when the
+    solver has one, otherwise maze by maze."""
+    solve_batch = getattr(solver, "solve_batch", None)
+    if solve_batch is None:
+        return [solver_loss(solver, rec) for rec in records]
+    preds = solve_batch([rec.maze for rec in records])
+    return [prediction_loss(pred, rec) for pred, rec in zip(preds, records)]
 
 
 def label_maze(maze: Maze, task: str) -> tuple[np.ndarray, int]:
@@ -72,21 +92,19 @@ def mutate_maze(maze: Maze, rng: np.random.Generator, n_flips: int,
     if n_flips < 1:
         raise MazeError("n_flips must be at least 1")
     H, W = maze.walls.shape
-    candidates = [
-        (y, x)
-        for y in range(H)
-        for x in range(W)
-        if (y, x) != maze.source and (y, x) != maze.target
-    ]
+    mutable = np.ones(H * W, dtype=bool)
+    for pos in (maze.source, maze.target):
+        if pos is not None:
+            mutable[pos[0] * W + pos[1]] = False
+    candidates = np.flatnonzero(mutable)  # flat indices, row-major
     if n_flips > len(candidates):
         raise MazeError("n_flips exceeds the number of mutable tiles")
     if task == "shortest_path" and (maze.source is None or maze.target is None):
         raise MazeError("shortest-path oracle needs both source and target")
     for _ in range(max_tries):
-        walls = maze.walls.copy()
-        picks = rng.choice(len(candidates), size=n_flips, replace=False)
-        for k in picks:
-            walls[candidates[k]] ^= True
+        flat = maze.walls.flatten()
+        flat[candidates[rng.choice(len(candidates), size=n_flips, replace=False)]] ^= True
+        walls = flat.reshape(H, W)
         child = Maze(walls=walls, source=maze.source, target=maze.target)
         if task == "shortest_path":
             if not reachable(child, maze.source, maze.target):
@@ -117,7 +135,7 @@ def evolve_step(
         return dataset, GenerationStats(mean_loss, mean_len, 0, mutated=False)
 
     parents = rng.choice(len(dataset), size=cfg.batch_size, replace=False)
-    offspring: list[tuple[float, DatasetRecord]] = []
+    children: list[DatasetRecord] = []
     for i in parents:
         parent = dataset[int(i)]
         n_flips = cfg.n_flips if cfg.n_flips is not None else _default_flips(parent.maze)
@@ -129,7 +147,8 @@ def evolve_step(
             id=parent.id, task=cfg.task, maze=child_maze, solution=mask,
             meta={**parent.meta, "d_tiles": length},
         )
-        offspring.append((solver_loss(solver, child), child))
+        children.append(child)
+    offspring = list(zip(batch_losses(solver, children), children))
 
     new_dataset = list(dataset)
     order = np.argsort(fitness, kind="stable")  # least fit first

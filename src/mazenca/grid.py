@@ -42,7 +42,11 @@ class Maze:
         if self.walls.ndim != 2 or self.walls.size == 0:
             raise MazeError("maze must be a non-empty 2-D grid")
         for name, pos in (("source", self.source), ("target", self.target)):
-            if pos is not None and self.walls[pos]:
+            if pos is None:
+                continue
+            if not self.contains(pos):
+                raise MazeError(f"{name} {pos} lies outside the {self.height}x{self.width} grid")
+            if self.walls[pos]:
                 raise MazeError(f"{name} placed on a wall tile")
         if self.source is not None and self.source == self.target:
             raise MazeError("source and target coincide")
@@ -171,7 +175,7 @@ def generate_maze(cfg: GenConfig, rng: np.random.Generator | None = None,
         rng = np.random.default_rng(cfg.seed)
     for _ in range(max_attempts):
         walls = rng.random((cfg.height, cfg.width)) < cfg.wall_probability
-        empties = np.argwhere(~walls)
+        empties = np.flatnonzero(~walls)  # row-major, as the draw indexes them
         if cfg.task == "diameter":
             if len(empties) == 0:
                 continue
@@ -179,8 +183,8 @@ def generate_maze(cfg: GenConfig, rng: np.random.Generator | None = None,
         if len(empties) < 2:
             continue
         pick = rng.choice(len(empties), size=2, replace=False)
-        s = tuple(int(v) for v in empties[pick[0]])
-        t = tuple(int(v) for v in empties[pick[1]])
+        s = divmod(int(empties[pick[0]]), cfg.width)
+        t = divmod(int(empties[pick[1]]), cfg.width)
         maze = Maze(walls=walls, source=s, target=t)
         if reachable(maze, s, t):
             return maze

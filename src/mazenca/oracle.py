@@ -2,7 +2,11 @@
 and for dataset labeling.
 
 Each oracle is a plain deque BFS, DFS or heap over Python lists, and shares
-no code with the automata it checks.  ``diameter_oracle`` runs one full BFS
+no code with the automata it checks.  ``distance_map``,
+``canonical_shortest_path`` and ``reachable`` search one framed flat byte
+copy of the walls (``flat_open_tiles``): a move is an index offset and a
+visit a byte test, so the frame needs no bounds check and no numpy scalar is
+read per neighbour.  ``diameter_oracle`` runs one full BFS
 from every empty tile, over neighbour lists built once per maze; it prunes
 nothing, so it stays independent of the eccentricity bounds that
 ``diameter_nca`` uses.
@@ -26,22 +30,44 @@ class Unreachable(MazeError):
     pass
 
 
-def distance_map(maze: Maze, src: tuple[int, int]) -> np.ndarray:
-    """BFS distance in moves from ``src``; -1 marks unreachable tiles."""
+def _open_source(maze: Maze, src: tuple[int, int]) -> None:
+    """Raise unless ``src`` is an empty tile of the grid."""
+    if not maze.contains(src):
+        raise MazeError(f"distance source {src} lies outside the grid")
     if maze.walls[src]:
         raise MazeError(f"distance source {src} is a wall")
-    H, W = maze.walls.shape
-    dist = np.full((H, W), -1, dtype=np.int64)
-    dist[src] = 0
-    q = deque([src])
+
+
+def _flat_distances(maze: Maze, src: tuple[int, int]) -> tuple[list[int], int]:
+    """Deque BFS over ``flat_open_tiles`` from the empty tile ``src``: moves
+    to every cell of the framed flat grid, -1 where unreachable, and the row
+    stride."""
+    _open_source(maze, src)
+    unseen, stride = flat_open_tiles(maze)
+    s = (src[0] + 1) * stride + src[1]
+    dist = [-1] * len(unseen)
+    dist[s] = 0
+    unseen[s] = 0
+    q = deque([s])
+    moves = (stride, 1, -stride, -1)
     while q:
-        y, x = q.popleft()
-        for dy, dx in PRIORITY_MOVES:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < H and 0 <= nx < W and not maze.walls[ny, nx] and dist[ny, nx] < 0:
-                dist[ny, nx] = dist[y, x] + 1
-                q.append((ny, nx))
-    return dist
+        i = q.popleft()
+        d = dist[i] + 1
+        for m in moves:
+            j = i + m
+            if unseen[j]:
+                unseen[j] = 0
+                dist[j] = d
+                q.append(j)
+    return dist, stride
+
+
+def distance_map(maze: Maze, src: tuple[int, int]) -> np.ndarray:
+    """BFS distance in moves from ``src``; -1 marks unreachable tiles."""
+    dist, stride = _flat_distances(maze, src)
+    H, W = maze.walls.shape
+    framed = np.array(dist, dtype=np.int64).reshape(H + 2, stride)
+    return np.ascontiguousarray(framed[1 : H + 1, :W])
 
 
 def shortest_path_union(maze: Maze) -> tuple[int, np.ndarray]:
@@ -65,22 +91,20 @@ def canonical_shortest_path(maze: Maze) -> tuple[int, np.ndarray]:
     exactly d + 1 true tiles."""
     if maze.source is None or maze.target is None:
         raise MazeError("shortest-path oracle needs both source and target")
-    dt = distance_map(maze, maze.target)
-    if dt[maze.source] < 0:
+    dt, stride = _flat_distances(maze, maze.target)
+    cur = (maze.source[0] + 1) * stride + maze.source[1]
+    d = dt[cur]
+    if d < 0:
         raise Unreachable("target unreachable from source")
-    d = int(dt[maze.source])
+    moves = (stride, 1, -stride, -1)  # PRIORITY_MOVES in flat steps
+    path = [cur]
+    while dt[cur]:  # 0 only at the target; the frame reads -1
+        cur = next(cur + m for m in moves if dt[cur + m] == dt[cur] - 1)
+        path.append(cur)
     H, W = maze.walls.shape
-    mask = np.zeros((H, W), dtype=bool)
-    cur = maze.source
-    mask[cur] = True
-    while cur != maze.target:
-        for dy, dx in PRIORITY_MOVES:
-            ny, nx = cur[0] + dy, cur[1] + dx
-            if 0 <= ny < H and 0 <= nx < W and dt[ny, nx] == dt[cur] - 1:
-                cur = (ny, nx)
-                break
-        mask[cur] = True
-    return d, mask
+    mask = np.zeros(len(dt), dtype=bool)
+    mask[path] = True
+    return d, np.ascontiguousarray(mask.reshape(H + 2, stride)[1 : H + 1, :W])
 
 
 def dfs_order(maze: Maze, start: tuple[int, int]) -> list[tuple[int, int]]:
@@ -131,19 +155,20 @@ def dfs_order(maze: Maze, start: tuple[int, int]) -> list[tuple[int, int]]:
         cur = nxt
 
 
-def flat_open_tiles(maze: Maze) -> tuple[list[bool], int]:
-    """The maze as one flat list of open tiles framed by walls, and its row
-    stride: a wall row above and below, and a wall column after each row,
-    which is also the wall left of the next row.  Tile (y, x) is at
-    (y + 1) * stride + x."""
+def flat_open_tiles(maze: Maze) -> tuple[bytearray, int]:
+    """The maze as one flat byte array, 1 on an open tile and 0 elsewhere,
+    framed by walls, and its row stride: a wall row above and below, and a
+    wall column after each row, which is also the wall left of the next
+    row.  Tile (y, x) is at (y + 1) * stride + x.  A BFS may clear the
+    bytes it visits: each call returns a fresh copy."""
     H, W = maze.walls.shape
     stride = W + 1
     framed = np.zeros((H + 2, stride), dtype=bool)
     framed[1 : H + 1, :W] = ~maze.walls
-    return framed.ravel().tolist(), stride
+    return bytearray(framed.tobytes()), stride
 
 
-def neighbour_lists(open_tiles: list[bool], stride: int) -> list[tuple[int, ...]]:
+def neighbour_lists(open_tiles: bytearray, stride: int) -> list[tuple[int, ...]]:
     """For each cell of a framed flat grid (``flat_open_tiles``), the open
     cells one move away, in the order down, right, up, left; empty for a
     wall.  The frame keeps every move of an open cell inside the list."""
@@ -172,13 +197,14 @@ def tile_distances(neighbours: list[tuple[int, ...]], src: int) -> tuple[list[in
 def reachable(maze: Maze, src: tuple[int, int], dst: tuple[int, int]) -> bool:
     """Whether a path joins the empty tile ``src`` to ``dst``: one deque BFS
     over ``flat_open_tiles`` that stops when it reaches ``dst``."""
-    if maze.walls[src]:
-        raise MazeError(f"distance source {src} is a wall")
+    _open_source(maze, src)
+    if not maze.contains(dst):
+        raise MazeError(f"destination {dst} lies outside the grid")
     unseen, stride = flat_open_tiles(maze)
     s, t = (src[0] + 1) * stride + src[1], (dst[0] + 1) * stride + dst[1]
     if s == t:
         return True
-    unseen[s] = False
+    unseen[s] = 0
     q = deque([s])
     moves = (stride, 1, -stride, -1)
     while q:
@@ -188,7 +214,7 @@ def reachable(maze: Maze, src: tuple[int, int], dst: tuple[int, int]) -> bool:
             if unseen[j]:
                 if j == t:
                     return True
-                unseen[j] = False
+                unseen[j] = 0
                 q.append(j)
     return False
 

@@ -42,3 +42,25 @@ def largest_component_start(maze):
             if largest is None or component.sum() > largest.sum():
                 largest = component
     return tuple(int(v) for v in np.argwhere(largest)[0])
+
+
+def endpoint_sweep(n, seed):
+    """Sweep mazes with a seeded source and target, and 48 20 x 20 mazes
+    of wall probability 0.2 and 0.3 from their first to their last empty
+    tile, reachable or not, grouped by shape."""
+    groups = {}
+    for i, maze in enumerate(sweep_mazes(n, 12, seed=seed)):
+        empties = [tuple(int(v) for v in t) for t in np.argwhere(~maze.walls)]
+        if len(empties) < 2:
+            continue
+        rng = np.random.default_rng([seed, i])
+        source, target = (empties[k] for k in rng.choice(len(empties), 2, replace=False))
+        groups.setdefault(maze.walls.shape, []).append(
+            Maze(walls=maze.walls, source=source, target=target))
+    for i in range(48):
+        walls = np.random.default_rng([seed, 20, i]).random((20, 20)) < 0.2 + 0.1 * (i % 2)
+        empties = np.argwhere(~walls)
+        groups.setdefault(walls.shape, []).append(Maze(
+            walls=walls, source=tuple(int(v) for v in empties[0]),
+            target=tuple(int(v) for v in empties[-1])))
+    return list(groups.values())

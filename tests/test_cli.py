@@ -321,3 +321,23 @@ def test_non_utf8_file_is_runtime_error(tmp_path, capsys, cmd):
     assert main([*cmd, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.strip() == f"{path}: not UTF-8 text (byte 0: invalid start byte)"
+
+
+# sha256 of the files ``evolve --out/--stats-out`` writes for a seeded
+# dataset, pinned before offspring were scored in canvases
+EVOLVE_OUT_SHA256 = ("5938b3c2df9aedbb8fe294c6749f393dd46f8b38b91f0c5dc0b4ea892ea8e0c2",
+                     "b074ea1fc7747f6a44d774942863c61293ccc6b93afea56b9aa94a94be1b9ae2")
+
+
+def test_evolve_outputs_are_unchanged(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "24", "--size", "10",
+          "--seed", "7", "--out", str(data)])
+    out = tmp_path / "evolved.jsonl"
+    stats = tmp_path / "stats.csv"
+    assert main(["evolve", "--dataset", str(data), "--solver", "budget:6",
+                 "--generations", "4", "--out", str(out), "--stats-out", str(stats),
+                 "--batch-size", "12", "--n-flips", "4", "--loss-threshold", "1.0",
+                 "--seed", "3"]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, stats))
+    assert got == EVOLVE_OUT_SHA256

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,57 @@ def test_evolution_is_deterministic():
     out2, stats2 = run_evolution(dataset, BudgetedNcaSolver(4), cfg)
     assert [r.maze for r in out1] == [r.maze for r in out2]
     assert [s.mean_loss for s in stats1] == [s.mean_loss for s in stats2]
+
+
+def evolution_digest(dataset, solver, cfg):
+    """sha256 of every record ``run_evolution`` returns (id, walls,
+    endpoints, solution, meta) and of every generation's stats."""
+    out, stats = run_evolution(dataset, solver, cfg)
+    digest = hashlib.sha256()
+    for rec in out:
+        digest.update(repr((rec.id, rec.task, rec.maze.walls.shape, rec.maze.source,
+                            rec.maze.target, sorted(rec.meta.items()))).encode())
+        digest.update(rec.maze.walls.tobytes())
+        digest.update(rec.solution.tobytes())
+    for s in stats:
+        digest.update(repr((s.mean_loss, s.mean_solution_length, s.replacements,
+                            s.mutated)).encode())
+    return digest.hexdigest()
+
+
+def labelled(task, size, count, seed):
+    records = []
+    for i in range(count):
+        maze = generate_maze(GenConfig(width=size, height=size, task=task),
+                             rng=np.random.default_rng([seed, i]))
+        mask, length = label_maze(maze, task)
+        records.append(DatasetRecord(id=f"{task}-{i}", task=task, maze=maze,
+                                     solution=mask, meta={"d_tiles": length, "seed": i}))
+    return records
+
+
+# sha256 of the evolutions below, pinned before offspring were scored in
+# canvases and before the oracle's flat-frame BFS
+EVOLUTION_SHA256 = {
+    "budget": "37c9a2066044d71f2e79467cb7214a50b12ca608414c5a7d9addbeeab5d5db6f",
+    "diameter": "844d2b72f5a3e353156550ae8d4e242a87acd79cf57c0f79520646a4dc8610bf",
+    "oracle": "319f36fdc8e7762a704a80bb8f2a3a1312a0cd872fcaf0cf933208dddff1d17d",
+}
+
+
+def test_evolutions_are_unchanged():
+    # the benchmark's set-up: 512 16x16 records, the budget-16 automaton,
+    # every generation mutating 128 parents with 13 flips each
+    cfg = EvolutionConfig(generations=3, loss_threshold=1.0, batch_size=128,
+                          n_flips=13, seed=1234)
+    got = {"budget": evolution_digest(labelled("shortest_path", 16, 512, 1234),
+                                      BudgetedNcaSolver(16), cfg)}
+    # diameter labels and mutations under the default flip count, scored
+    # maze by maze (the oracle solver needs endpoints, so the zeros solver
+    # scores the diameter set)
+    cfg = EvolutionConfig(generations=3, task="diameter", loss_threshold=1.0,
+                          batch_size=16, seed=1234)
+    got["diameter"] = evolution_digest(labelled("diameter", 9, 64, 1234), ZerosSolver(), cfg)
+    cfg = EvolutionConfig(generations=3, loss_threshold=1.0, batch_size=16, seed=1234)
+    got["oracle"] = evolution_digest(labelled("shortest_path", 9, 64, 1234), OracleSolver(), cfg)
+    assert got == EVOLUTION_SHA256

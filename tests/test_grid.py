@@ -121,3 +121,12 @@ def test_diameter_task_has_no_endpoints():
     maze = generate_maze(GenConfig(width=6, height=6, task="diameter", seed=3))
     assert maze.source is None and maze.target is None
     assert np.any(~maze.walls)
+
+
+@pytest.mark.parametrize("pos", [(-1, 0), (0, -1), (3, 0), (0, 3), (-4, -4)])
+def test_endpoints_outside_the_grid_are_rejected(pos):
+    # a negative index would wrap onto a tile, a large one past the grid
+    walls = np.zeros((3, 3), dtype=bool)
+    for endpoints in ({"source": pos}, {"target": pos}, {"source": (1, 1), "target": pos}):
+        with pytest.raises(MazeError, match="outside"):
+            Maze(walls=walls, **endpoints)

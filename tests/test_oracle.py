@@ -1,9 +1,13 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazenca import oracle
+from mazenca.evolve import mutate_maze
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import (
     Unreachable,
@@ -200,3 +204,91 @@ def test_reachable_agrees_with_distance_map():
             assert [reachable(maze, src, dst) for dst in tiles] == [dist[t] >= 0 for t in tiles]
     with pytest.raises(MazeError, match="wall"):
         reachable(parse_maze("#."), (0, 0), (0, 1))
+
+
+class Digest:
+    """sha256 over a stream of values and arrays (dtype, shape and bytes)."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def put(self, *values):
+        self.sha.update(repr(values).encode())
+
+    def put_array(self, a):
+        self.put(a.dtype.str, a.shape)
+        self.sha.update(a.tobytes())
+
+
+def put_labels(digest, maze):
+    """Distance maps from both endpoints, reachability and the canonical
+    path of a maze with both endpoints."""
+    digest.put(maze.source, maze.target, reachable(maze, maze.source, maze.target))
+    digest.put_array(distance_map(maze, maze.source))
+    digest.put_array(distance_map(maze, maze.target))
+    try:
+        d, mask = canonical_shortest_path(maze)
+    except Unreachable:
+        digest.put("unreachable")
+    else:
+        digest.put(d)
+        digest.put_array(mask)
+
+
+# sha256 of the oracle and generator outputs below, pinned before the
+# oracle's flat-frame BFS and the generator's flat empty-tile index
+ORACLE_SHA256 = "acfa9ec131107d9adf3d2f72de36cf86171cb45305627277e0177064f76d0ebc"
+
+
+def test_oracle_and_generator_outputs_are_unchanged():
+    digest = Digest()
+    # sweep mazes: 1xN, Nx1, all-open and single-empty grids, then random
+    # grids of every density; a map from every empty tile, and reachability
+    # and the canonical path between the first and each later empty tile
+    for maze in sweep_mazes(60, 9, seed=83):
+        empties = [tuple(int(v) for v in q) for q in np.argwhere(~maze.walls)]
+        for src in empties:
+            digest.put_array(distance_map(maze, src))
+        digest.put([reachable(maze, empties[0], dst) for dst in empties])
+        for dst in empties[1:][::3]:
+            put_labels(digest, Maze(walls=maze.walls, source=empties[0], target=dst))
+    # criterion 5's mazes, with the rng state after each draw, then an
+    # offspring of each
+    for size in (16, 32):
+        for i in range(256):
+            rng = np.random.default_rng([1234, size, i])
+            maze = generate_maze(GenConfig(width=size, height=size), rng=rng)
+            digest.put_array(maze.walls)
+            digest.put(rng.bit_generator.state)
+            put_labels(digest, maze)
+            child = mutate_maze(maze, rng, n_flips=math.ceil(0.05 * size * size))
+            digest.put_array(child.walls)
+            digest.put(rng.bit_generator.state)
+    # both tasks on other shapes and densities, and mutations that may give
+    # up (None) or keep only a wall-free tile somewhere
+    for i in range(64):
+        rng = np.random.default_rng([1234, 7, i])
+        for task in ("shortest_path", "diameter"):
+            cfg = GenConfig(width=2 + i % 8, height=2 + i % 5, task=task,
+                            wall_probability=(0.1, 0.4, 0.6, 0.75)[i % 4])
+            maze = generate_maze(cfg, rng=rng)
+            digest.put(task, maze.source, maze.target, rng.bit_generator.state)
+            digest.put_array(maze.walls)
+            flips = max(1, (maze.walls.size - 2) // 3)
+            child = mutate_maze(maze, rng, flips, task=task, max_tries=3)
+            digest.put(None if child is None else child.walls.tobytes(),
+                       rng.bit_generator.state)
+        digest.put(generate_maze(GenConfig(width=5, height=4, seed=i)).source)
+    assert digest.sha.hexdigest() == ORACLE_SHA256
+
+
+@pytest.mark.parametrize("pos", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_oracle_rejects_tiles_outside_the_grid(pos):
+    # (-1, 0) once rooted a map at the wrapped tile (2, 0)
+    maze = parse_maze("S..\n.#.\n..T")
+    with pytest.raises(MazeError, match="outside"):
+        distance_map(maze, pos)
+    with pytest.raises(MazeError, match="outside"):
+        reachable(maze, pos, (2, 2))
+    with pytest.raises(MazeError, match="outside"):
+        reachable(maze, (0, 0), pos)

@@ -17,7 +17,7 @@ from mazenca.extract import ExtractionFailed, run_extract
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
 from mazenca.loop import run
 from mazenca.tensor import KernelStack
-from sweep import sweep_mazes
+from sweep import endpoint_sweep
 from test_tensor import naive_conv2d
 
 # 12 x 9 maze whose traces are pinned byte for byte; the DFS starts at S,
@@ -191,28 +191,6 @@ def test_static_stack_is_convolved_once_per_run(monkeypatch):
     assert calls == {("mazenca.dfs", "static"): 1, ("mazenca.dfs", "dynamic"): steps}
 
 
-def _endpoints_sweep(n, seed):
-    """Sweep mazes with a seeded source and target, and 48 20 x 20 mazes
-    of wall probability 0.2 and 0.3 from their first to their last empty
-    tile, reachable or not, grouped by shape."""
-    groups = {}
-    for i, maze in enumerate(sweep_mazes(n, 12, seed=seed)):
-        empties = [tuple(int(v) for v in t) for t in np.argwhere(~maze.walls)]
-        if len(empties) < 2:
-            continue
-        rng = np.random.default_rng([seed, i])
-        source, target = (empties[k] for k in rng.choice(len(empties), 2, replace=False))
-        groups.setdefault(maze.walls.shape, []).append(
-            Maze(walls=maze.walls, source=source, target=target))
-    for i in range(48):
-        walls = np.random.default_rng([seed, 20, i]).random((20, 20)) < 0.2 + 0.1 * (i % 2)
-        empties = np.argwhere(~walls)
-        groups.setdefault(walls.shape, []).append(Maze(
-            walls=walls, source=tuple(int(v) for v in empties[0]),
-            target=tuple(int(v) for v in empties[-1])))
-    return list(groups.values())
-
-
 def assert_same_flood(got, want, msg):
     assert (got.met, got.meet_step, got.final.step, got.maze) == \
         (want.met, want.meet_step, want.final.step, want.maze), msg
@@ -235,7 +213,7 @@ def test_flood_and_extraction_batches_match_their_single_runs(monkeypatch, max_s
         return keep(frame, live)
 
     monkeypatch.setattr(loop, "_keep", recording_keep)
-    groups = _endpoints_sweep(320, seed=29)
+    groups = endpoint_sweep(320, seed=29)
     assert sum(len(group) for group in groups) >= 300
     outcomes = Counter()
     for group in groups:

@@ -7,6 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from mazenca import solvers
+from mazenca.bfs import run_bfs
+from mazenca.extract import run_extract
 from mazenca.grid import GenConfig, generate_maze, parse_maze
 from mazenca.oracle import normalized_accuracy, shortest_path_union
 from mazenca.solvers import (
@@ -17,6 +20,7 @@ from mazenca.solvers import (
     ZerosSolver,
     make_solver,
 )
+from sweep import endpoint_sweep
 
 MAZE = parse_maze("S...T\n.....\n.....")
 
@@ -60,6 +64,44 @@ def test_budgeted_solver_fails_long_mazes():
     long_maze = parse_maze("S" + "." * 30 + "T")
     solver = BudgetedNcaSolver(flood_budget=4)
     np.testing.assert_array_equal(solver.solve(long_maze), np.zeros((1, 32)))
+
+
+def single_run(maze, budget):
+    """The budgeted pipeline as one flood and one extraction of its own."""
+    bfs = run_bfs(maze, max_steps=budget)
+    if not bfs.met:
+        return np.zeros(maze.walls.shape)
+    return run_extract(bfs).mask.astype(np.float64)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_solve_batch_equals_single_runs(monkeypatch, budget):
+    # sweep mazes of every shape, 1xN and Nx1 among them, in one list;
+    # the 48 20x20 mazes split into canvases of CANVAS_COPIES
+    canvases = []
+    batch_run = solvers.bfs_batch
+
+    def recording_batch(mazes, max_steps):
+        canvases.append(len(mazes))
+        return batch_run(mazes, max_steps)
+
+    monkeypatch.setattr(solvers, "bfs_batch", recording_batch)
+    mazes = [maze for group in endpoint_sweep(160, seed=31) for maze in group]
+    shapes = {maze.walls.shape for maze in mazes}
+    assert {(1, 12), (12, 1)} <= shapes
+    solver = BudgetedNcaSolver(flood_budget=budget)
+    preds = solver.solve_batch(mazes)
+    assert len(preds) == len(mazes)
+    solved = 0
+    for maze, pred in zip(mazes, preds):
+        want = single_run(maze, budget)
+        for got in (pred, solver.solve(maze)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), str(maze.walls)
+        solved += bool(want.any())
+    # a flood of one step holds only its own endpoint, so nothing meets
+    assert solved < len(mazes) and (solved > 0) == (budget > 1)
+    assert max(canvases) == solvers.CANVAS_COPIES and len(canvases) > len(shapes)
+    assert solver.solve_batch([]) == []
 
 
 def test_external_zeros_child(tmp_path):
