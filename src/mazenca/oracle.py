@@ -38,36 +38,36 @@ def _open_source(maze: Maze, src: tuple[int, int]) -> None:
         raise MazeError(f"distance source {src} is a wall")
 
 
-def _flat_distances(maze: Maze, src: tuple[int, int]) -> tuple[list[int], int]:
-    """Deque BFS over ``flat_open_tiles`` from the empty tile ``src``: moves
-    to every cell of the framed flat grid, -1 where unreachable, and the row
-    stride."""
+def _flat_distances(maze: Maze, src: tuple[int, int]) -> tuple[list[int], list[int], int]:
+    """BFS over ``flat_open_tiles`` from the empty tile ``src``: moves to
+    every cell of the framed flat grid (-1 where unreachable), the cells
+    reached in the order they were dequeued, and the row stride."""
     _open_source(maze, src)
     unseen, stride = flat_open_tiles(maze)
     s = (src[0] + 1) * stride + src[1]
     dist = [-1] * len(unseen)
     dist[s] = 0
     unseen[s] = 0
-    q = deque([s])
+    reached = [s]  # also the queue: the loop reads the cells it appends
     moves = (stride, 1, -stride, -1)
-    while q:
-        i = q.popleft()
+    for i in reached:
         d = dist[i] + 1
         for m in moves:
             j = i + m
             if unseen[j]:
                 unseen[j] = 0
                 dist[j] = d
-                q.append(j)
-    return dist, stride
+                reached.append(j)
+    return dist, reached, stride
 
 
 def distance_map(maze: Maze, src: tuple[int, int]) -> np.ndarray:
     """BFS distance in moves from ``src``; -1 marks unreachable tiles."""
-    dist, stride = _flat_distances(maze, src)
+    dist, reached, stride = _flat_distances(maze, src)
     H, W = maze.walls.shape
-    framed = np.array(dist, dtype=np.int64).reshape(H + 2, stride)
-    return np.ascontiguousarray(framed[1 : H + 1, :W])
+    framed = np.full((H + 2) * stride, -1, dtype=np.int64)
+    framed[reached] = [dist[i] for i in reached]  # costs the component, not the grid
+    return np.ascontiguousarray(framed.reshape(H + 2, stride)[1 : H + 1, :W])
 
 
 def shortest_path_union(maze: Maze) -> tuple[int, np.ndarray]:
@@ -91,7 +91,7 @@ def canonical_shortest_path(maze: Maze) -> tuple[int, np.ndarray]:
     exactly d + 1 true tiles."""
     if maze.source is None or maze.target is None:
         raise MazeError("shortest-path oracle needs both source and target")
-    dt, stride = _flat_distances(maze, maze.target)
+    dt, _, stride = _flat_distances(maze, maze.target)
     cur = (maze.source[0] + 1) * stride + maze.source[1]
     d = dt[cur]
     if d < 0:

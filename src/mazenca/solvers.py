@@ -4,9 +4,10 @@ A solver maps a maze to an H x W real-valued prediction plane (clipped to
 [0, 1] by callers).  The budgeted automaton solver is the built-in adversary
 target: it fails precisely on mazes whose floods cannot meet within its step
 budget, which is what the evolution loop learns to exploit.  A solver may
-also offer ``solve_batch(mazes)``, a list of the predictions ``solve``
-gives; the evolution scores each generation's offspring through it, and
-the budgeted solver runs it on flood and extraction canvases.
+also offer ``solve_batch(mazes)`` over mazes of one shape, a list of the
+predictions ``solve`` gives; the evolution scores each generation's
+offspring through it, and the budgeted solver runs it on flood and
+extraction canvases.
 """
 
 from __future__ import annotations
@@ -44,18 +45,11 @@ class OracleSolver:
         return mask.astype(np.float64)
 
 
-# Copies per canvas of ``BudgetedNcaSolver.solve_batch``.  A canvas's peak
-# memory grows with its copies: scoring 128 16 x 16 offspring in canvases of
-# 128, 32 and 8 copies added about 2.6, 0.85 and 0.2 MB to the process's
-# peak RSS, and 8 copies already share most of a step's per-call cost.
-CANVAS_COPIES = 8
-
-
 class BudgetedNcaSolver:
     """Flood + extraction pipeline with a cap on flood steps; outputs zeros
     when the floods cannot meet within the budget.  ``solve_batch`` solves
-    many mazes as copies of flood and extraction canvases; ``solve`` is a
-    batch of one."""
+    mazes of one shape as copies of one flood canvas and one extraction
+    canvas; ``solve`` is a batch of one."""
 
     def __init__(self, flood_budget: int = 16):
         self.flood_budget = flood_budget
@@ -65,23 +59,14 @@ class BudgetedNcaSolver:
         return self.solve_batch([maze])[0]
 
     def solve_batch(self, mazes: Sequence[Maze]) -> list[np.ndarray]:
-        """``solve`` of every maze of ``mazes``.  Mazes of one shape run in
-        canvases of CANVAS_COPIES copies: one ``bfs_batch`` at the flood
-        budget, then one ``extract_batch`` of the copies that met.  A copy
-        equals its single run, so each prediction is its maze's own."""
-        preds: list[np.ndarray] = [None] * len(mazes)
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for i, maze in enumerate(mazes):
-            by_shape.setdefault(maze.walls.shape, []).append(i)
-        for ids in by_shape.values():
-            for lo in range(0, len(ids), CANVAS_COPIES):
-                chunk = ids[lo : lo + CANVAS_COPIES]
-                floods = bfs_batch([mazes[i] for i in chunk], max_steps=self.flood_budget)
-                paths = iter(extract_batch([bfs for bfs in floods if bfs.met]))
-                for i, bfs in zip(chunk, floods):
-                    preds[i] = (next(paths).mask.astype(np.float64) if bfs.met
-                                else np.zeros(bfs.maze.walls.shape))
-        return preds
+        """``solve`` of every maze of ``mazes`` (one shape): one
+        ``bfs_batch`` at the flood budget, then one ``extract_batch`` of the
+        copies that met.  A copy equals its single run, so each prediction
+        is its maze's own."""
+        floods = bfs_batch(mazes, max_steps=self.flood_budget)
+        paths = iter(extract_batch([bfs for bfs in floods if bfs.met]))
+        return [next(paths).mask.astype(np.float64) if bfs.met else np.zeros(bfs.maze.walls.shape)
+                for bfs in floods]
 
 
 class SolverProtocolError(MazeError):

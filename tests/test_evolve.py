@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mazenca.dataset import DatasetRecord
+from mazenca import evolve
 from mazenca.evolve import (
     EvolutionConfig,
+    batch_losses,
     evolve_step,
     label_maze,
     mutate_maze,
@@ -15,6 +17,7 @@ from mazenca.evolve import (
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
 from mazenca.oracle import distance_map, shortest_path_union
 from mazenca.solvers import BudgetedNcaSolver, OracleSolver, ZerosSolver
+from sweep import endpoint_sweep
 
 
 def make_dataset(n, size=8, seed=0):
@@ -117,6 +120,30 @@ def test_evolution_against_budgeted_solver_grows_paths():
         d, _ = shortest_path_union(rec.maze)
         assert rec.meta["d_tiles"] == d + 1
         assert rec.solution.sum() == d + 1
+
+
+def test_batch_losses_equal_single_losses(monkeypatch):
+    # mixed shapes, 1xN and Nx1 among them; the 48 20x20 records split
+    # into canvases of CANVAS_COPIES
+    canvases = []
+    solve_batch = BudgetedNcaSolver.solve_batch
+
+    def recording(solver, mazes):
+        canvases.append((len(mazes), {maze.walls.shape for maze in mazes}))
+        return solve_batch(solver, mazes)
+
+    monkeypatch.setattr(BudgetedNcaSolver, "solve_batch", recording)
+    records = []
+    for maze in [maze for group in endpoint_sweep(60, seed=37) for maze in group][::-1]:
+        mask = np.zeros(maze.walls.shape, dtype=bool)
+        mask[maze.source] = mask[maze.target] = True
+        records.append(DatasetRecord(id="r", task="shortest_path", maze=maze, solution=mask))
+    for solver in (BudgetedNcaSolver(6), OracleSolver(), ZerosSolver()):
+        assert batch_losses(solver, records) == [solver_loss(solver, rec) for rec in records]
+    assert all(len(shapes) == 1 for _, shapes in canvases)
+    sizes = [n for n, _ in canvases]
+    assert max(sizes) == evolve.CANVAS_COPIES and sizes.count(evolve.CANVAS_COPIES) >= 6
+    assert batch_losses(BudgetedNcaSolver(6), []) == []
 
 
 def test_batch_size_validation():

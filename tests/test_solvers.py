@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from mazenca import solvers
 from mazenca.bfs import run_bfs
 from mazenca.extract import run_extract
 from mazenca.grid import GenConfig, generate_maze, parse_maze
@@ -75,32 +74,25 @@ def single_run(maze, budget):
 
 
 @pytest.mark.parametrize("budget", [1, 5, 40])
-def test_solve_batch_equals_single_runs(monkeypatch, budget):
-    # sweep mazes of every shape, 1xN and Nx1 among them, in one list;
-    # the 48 20x20 mazes split into canvases of CANVAS_COPIES
-    canvases = []
-    batch_run = solvers.bfs_batch
-
-    def recording_batch(mazes, max_steps):
-        canvases.append(len(mazes))
-        return batch_run(mazes, max_steps)
-
-    monkeypatch.setattr(solvers, "bfs_batch", recording_batch)
-    mazes = [maze for group in endpoint_sweep(160, seed=31) for maze in group]
-    shapes = {maze.walls.shape for maze in mazes}
-    assert {(1, 12), (12, 1)} <= shapes
+def test_solve_batch_equals_single_runs(budget):
+    # sweep mazes of every shape, 1xN and Nx1 among them, one canvas per
+    # shape; the 48 20x20 mazes share one canvas
+    groups = endpoint_sweep(160, seed=31)
+    shapes = {group[0].walls.shape for group in groups}
+    assert {(1, 12), (12, 1)} <= shapes and max(map(len, groups)) > 8
     solver = BudgetedNcaSolver(flood_budget=budget)
-    preds = solver.solve_batch(mazes)
-    assert len(preds) == len(mazes)
-    solved = 0
-    for maze, pred in zip(mazes, preds):
-        want = single_run(maze, budget)
-        for got in (pred, solver.solve(maze)):
-            assert got.dtype == want.dtype and np.array_equal(got, want), str(maze.walls)
-        solved += bool(want.any())
+    solved = total = 0
+    for group in groups:
+        preds = solver.solve_batch(group)
+        assert len(preds) == len(group)
+        for maze, pred in zip(group, preds):
+            want = single_run(maze, budget)
+            for got in (pred, solver.solve(maze)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), str(maze.walls)
+            solved += bool(want.any())
+            total += 1
     # a flood of one step holds only its own endpoint, so nothing meets
-    assert solved < len(mazes) and (solved > 0) == (budget > 1)
-    assert max(canvases) == solvers.CANVAS_COPIES and len(canvases) > len(shapes)
+    assert solved < total and (solved > 0) == (budget > 1)
     assert solver.solve_batch([]) == []
 
 
