@@ -6,9 +6,10 @@ with the oracle, and scored by the loss each offspring induces; offspring
 strictly fitter than the least fit incumbents replace them.
 
 Each generation scores every incumbent record by record (``solver_loss``)
-and then all its offspring at once (``batch_losses``), through the solver's
-``solve_batch`` when it has one; either way a maze gets the loss its own
-``solve`` gives, so a solver with a batch path evolves the same datasets.
+and then all its offspring together (``batch_losses``), through the
+solver's ``solve_batch`` when it has one; either way a maze gets the loss
+its own ``solve`` gives, so a solver with a batch path evolves the same
+datasets.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def mutate_maze(maze: Maze, rng: np.random.Generator, n_flips: int,
         raise MazeError("shortest-path oracle needs both source and target")
     for _ in range(max_tries):
         walls = maze.walls.copy()
-        walls.reshape(-1)[candidates[rng.choice(len(candidates), size=n_flips, replace=False)]] ^= True
+        picks = candidates[rng.choice(len(candidates), size=n_flips, replace=False)]
+        walls.reshape(-1)[picks] ^= True
         child = Maze(walls=walls, source=maze.source, target=maze.target)
         if task == "shortest_path":
             if not reachable(child, maze.source, maze.target):
