@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .loop import copy_frame, run_canvas
+from .loop import copy_frame, run_canvas, unchanged
 from .grid import CH_WALL, Maze, MazeError, one_hot
 from .tensor import KernelStack, conv2d, int_dtype, interior, step, w_center3, w_von_neumann
 
@@ -151,32 +151,32 @@ def flood_horizon(height: int, width: int) -> int:
     return height * width + 1
 
 
-def floods_met(state: BfsState, copies: int = 1) -> np.ndarray:
+def floods_met(state: BfsState, copies: int) -> np.ndarray:
     """Per copy of a canvas of ``copies`` copies: the two floods overlap
     somewhere."""
     overlap = state.frame[FLOOD_S, 1:] & state.frame[FLOOD_T, 1:]
     return overlap.reshape(copies, -1).any(axis=1)
 
 
-def flood_fixpoint(prev: BfsState, state: BfsState, copies: int = 1) -> np.ndarray:
-    """Single-source halting rule, per copy of a canvas of ``copies``
-    copies: the copy's source flood stopped changing."""
-    same = state.frame[FLOOD_S, 1:] == prev.frame[FLOOD_S, 1:]
-    return same.reshape(copies, -1).all(axis=1)
+def flood_fixpoint(prev: BfsState, state: BfsState, copies: int) -> np.ndarray:
+    """Single-source halting rule: the positions of the copies of a canvas
+    of ``copies`` copies whose source flood stopped changing."""
+    return unchanged(prev.frame, state.frame, FLOOD_S, copies).nonzero()[0]
 
 
-def floods_halted(prev: BfsState, state: BfsState, copies: int = 1) -> np.ndarray:
-    """Bidirectional halting rule, per copy: the floods overlap, or the
-    source flood stopped changing without an overlap.  A settled source
-    flood covers its whole component and the target flood always holds the
-    target, so the second case proves the target unreachable.  The
-    fixpoint is compared only while some copy has not met."""
+def floods_halted(prev: BfsState, state: BfsState, copies: int) -> np.ndarray:
+    """Bidirectional halting rule: the positions of the copies whose floods
+    overlap, or whose source flood stopped changing without an overlap.  A
+    settled source flood covers its whole component and the target flood
+    always holds the target, so the second case proves the target
+    unreachable.  The fixpoint is compared only while some copy has not
+    met."""
     met = floods_met(state, copies)
     n_met = np.count_nonzero(met)
-    if n_met == copies:
-        return met
-    settled = flood_fixpoint(prev, state, copies)
-    return settled | met if n_met else settled
+    if n_met < copies:
+        settled = unchanged(prev.frame, state.frame, FLOOD_S, copies)
+        met = settled | met if n_met else settled
+    return met.nonzero()[0]
 
 
 def bfs_batch(

@@ -114,6 +114,8 @@ def read_trace(path: str | Path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != TRACE_MAGIC:
         raise MazeError("not a trace file (bad magic)")
+    if len(data) < 24:
+        raise MazeError(f"trace header truncated at {len(data)} of 24 bytes")
     version, C, H, W, steps = struct.unpack("<IIIII", data[4:24])
     if version != TRACE_VERSION:
         raise MazeError(f"unsupported trace version {version}")

@@ -42,11 +42,12 @@ and the halting rule read those.  A step is a few dozen numpy calls on
 arrays of a few dozen cells, 3 of them the conv's adds, so its cost is
 per-call dispatch, at every grid size.
 
-The run keeps the undo of its last step: the window it read, the popped
-tile's stack values and the routed tiles.  So a state stays readable until
-its successor is stepped, as ``loop.run``'s halting rule and a tracer around
-``dfs_step`` read it.  Reading an older state, or stepping any state but the
-run's last, raises RuntimeError, so nothing reads a wrong state.
+The run keeps the undo of its last step: the window it read and the popped
+tile's stack values.  So a state's ``hidden`` stays readable until its
+successor is stepped, as a tracer around ``dfs_step`` reads it; no state
+reads the base.  Reading an older state, or stepping any state but the
+run's last, raises RuntimeError, so nothing reads a wrong state.  A run is
+a canvas of one copy (``loop.run_canvas``), and ``drained`` reads no planes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Maze, MazeError, one_hot
-from .loop import run
+from .loop import run_canvas
 from .tensor import KernelStack, conv2d, int_dtype, relu, step
 
 # hidden channel registry
@@ -75,12 +76,6 @@ IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = 9, 10, 11, 12
 # of the neighbour a route arrives FROM (down-move looks up, and so on), in
 # priority order; the direction code of the move from offset k is k + 1
 DIR_OFFSETS = [(1, 2), (2, 1), (3, 2), (2, 3)]
-
-
-def _w2() -> np.ndarray:
-    m = np.zeros((5, 5))
-    m[2, 2] = 1.0
-    return m
 
 
 def _w_single(positions) -> np.ndarray:
@@ -100,10 +95,6 @@ W_PRIORITY = {
 }
 
 
-def _w_adjacent() -> np.ndarray:
-    return _w_single(DIR_OFFSETS)
-
-
 def _w_direction() -> np.ndarray:
     m = np.zeros((5, 5))
     for code, (i, j) in enumerate(DIR_OFFSETS, start=1):
@@ -114,25 +105,20 @@ def _w_direction() -> np.ndarray:
 class RunArrays:
     """The 9 x H x W ``planes`` and ``base`` one run owns and steps in
     place, the step of its last state, and the undo of its last step: the
-    window's corner and its planes as the step read them, each popped tile
-    with its stored stack values, and the routed tiles."""
+    window's corner and its planes as the step read them, and each popped
+    tile with its stored stack values."""
 
     def __init__(self, planes: np.ndarray, base: np.ndarray):
         self.planes, self.base, self.step, self.undo = planes, base, 0, None
 
-    def read(self, step: int, base: bool) -> np.ndarray:
-        """A fresh copy of the planes, or of the base, as of ``step``: the
-        step of the run's last state or of the one before it."""
+    def read(self, step: int) -> np.ndarray:
+        """A fresh copy of the planes as of ``step``: the step of the run's
+        last state or of the one before it."""
         lag = self.step - step
         if lag not in (0, 1):
             raise RuntimeError(f"the DFS state of step {step} is {lag} steps behind its run; "
                                "only the last state and the one before it can be read")
-        r0, c0, before, popped, routed = self.undo if lag else (0, 0, None, (), ())
-        if base:
-            out = self.base.copy()
-            for r, c in routed:
-                _stamp(out, 0, 0, -_stamps(out.dtype)[0], r, c)
-            return out
+        r0, c0, before, popped = self.undo if lag else (0, 0, None, ())
         out = self.planes.copy()
         for (r, c), values in popped:
             out[STACK:PEBBLE, r, c] = values
@@ -144,8 +130,8 @@ class RunArrays:
 
 @dataclass(frozen=True)
 class DfsState:
-    """One state of a run, whose planes and base live in the run's
-    ``arrays``.  ``hidden`` and ``base`` return fresh 9 x H x W copies."""
+    """One state of a run, whose planes live in the run's ``arrays``.
+    ``hidden`` returns a fresh 9 x H x W copy."""
 
     arrays: RunArrays = field(compare=False)
     # (rows, cols) half-open ranges of the cells the last step changed in any
@@ -164,12 +150,7 @@ class DfsState:
     @property
     def hidden(self) -> np.ndarray:
         """The 9 x H x W hidden planes, a fresh array."""
-        return self.arrays.read(self.step, base=False)
-
-    @property
-    def base(self) -> np.ndarray:
-        """The 9 x H x W base, a fresh array."""
-        return self.arrays.read(self.step, base=True)
+        return self.arrays.read(self.step)
 
 
 @dataclass
@@ -196,8 +177,8 @@ def _stamp(planes: np.ndarray, r0: int, c0: int, stamp: np.ndarray, r: int, c: i
 
 
 def build_dfs_weights() -> KernelStack:
-    w2 = _w2()
-    wa = _w_adjacent()
+    w2 = _w_single([(2, 2)])  # the centre tap
+    wa = _w_single(DIR_OFFSETS)  # the four neighbours
     wp = _w_direction()
     w = np.zeros((N_HIDDEN, N_HIDDEN + 4, 5, 5))
 
@@ -358,7 +339,7 @@ def dfs_step(state: DfsState) -> DfsState:
         arrays.planes[STACK:PEBBLE, r, c] = 0
     for r, c in pebbles:
         _stamp(arrays.base, 0, 0, _stamps(out.dtype)[0], r, c)
-    arrays.step, arrays.undo = t + 1, (r0, c0, before, saved, pebbles)
+    arrays.step, arrays.undo = t + 1, (r0, c0, before, saved)
 
     changed[STACK_RANK] = False
     rows, cols = np.logical_or.reduce(changed, axis=0).nonzero()
@@ -370,11 +351,17 @@ def dfs_step(state: DfsState) -> DfsState:
                     pebble=pebbles[0] if pebbles else None, stacked=stacked)
 
 
-def drained(prev: DfsState, state: DfsState) -> bool:
-    """Halting rule: no pebble, an empty stack and no pop this step.  A pop
+# the two answers of ``drained``: the run's one copy halts, or none does
+_HALTS, _RUNS = _frozen(np.zeros(1, np.intp)), _frozen(np.zeros(0, np.intp))
+
+
+def drained(prev: DfsState, state: DfsState, copies: int) -> np.ndarray:
+    """Halting rule of a canvas of one copy: the copy's position when no
+    pebble, an empty stack and no pop this step, else no position.  A pop
     empties the stack one step before the popped tile's pebble appears, so a
     pop step never counts as termination."""
-    return state.step > 1 and state.pebble is None and not state.stacked.shape[1] and not state.popped
+    done = state.step > 1 and state.pebble is None and not state.stacked.shape[1] and not state.popped
+    return _HALTS if done else _RUNS
 
 
 def run_dfs(
@@ -407,8 +394,10 @@ def run_dfs(
         if observe is not None:
             observe(state)
 
-    state, done = run(dfs_step, initial_state(maze, start, max_steps), drained, max_steps, record)
-    if not done:
+    def read(state: DfsState, *_) -> None:
+        trace.steps_used = state.step
+
+    if len(run_canvas(dfs_step, initial_state(maze, start, max_steps), 1, drained, read,
+                      max_steps, record)):
         raise MazeError(f"DFS did not terminate within {max_steps} steps")
-    trace.steps_used = state.step
     return trace

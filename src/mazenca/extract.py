@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bfs import BfsResult, flood_horizon
-from .loop import run_canvas
+from .loop import run_canvas, unchanged
 from .grid import MazeError
 from .tensor import KernelStack, conv2d, interior, sawtooth, step, w_center3, w_offset3
 
@@ -105,11 +105,10 @@ def extract_step(state: ExtractState) -> ExtractState:
     return ExtractState(frame=out, const=state.const, step=state.step + 1)
 
 
-def path_fixpoint(prev: ExtractState, state: ExtractState, copies: int = 1) -> np.ndarray:
-    """Halting rule, per copy of a canvas of ``copies`` copies: the copy's
-    path channel stopped changing."""
-    same = state.frame[PATH, 1:] == prev.frame[PATH, 1:]
-    return same.reshape(copies, -1).all(axis=1)
+def path_fixpoint(prev: ExtractState, state: ExtractState, copies: int) -> np.ndarray:
+    """Halting rule: the positions of the copies of a canvas of ``copies``
+    copies whose path channel stopped changing."""
+    return unchanged(prev.frame, state.frame, PATH, copies).nonzero()[0]
 
 
 def extract_batch(

@@ -1,19 +1,18 @@
-"""The run loops of the automata.
+"""The run loop of the automata.
 
-Each automaton owns its step function and its halting predicate; the loops
-apply them, so every halting rule is written once.  ``observe`` sees every
+Each automaton owns its step function and its halting rule; the loop
+applies them, so every halting rule is written once.  ``observe`` sees every
 state, the halting one included: trace export, rendering and the per-step
 verification invariants all hang off it.
 
-``run`` steps one state; the DFS runs through it.  ``run_canvas`` steps a
-canvas, the one runner of the framed automata (the floods and the
-extraction): copies of one automaton over mazes of one shape, stacked along
-the rows of a single framed state, each copy's H rows followed by one gutter
-row that its automaton holds at zero, as it holds its frame's border.  Row 0
-is the top border and the last copy's gutter is the bottom border, so copy
-j's own frame is rows j (H + 1) to (j + 1) (H + 1) inclusive, and a canvas
-of one copy is exactly a single run's frame.  A single run is a canvas of
-one copy, so there is no second path.
+``run_canvas`` steps a canvas: copies of one automaton over mazes of one
+shape, stacked along the rows of a single framed state, each copy's H rows
+followed by one gutter row that its automaton holds at zero, as it holds its
+frame's border.  Row 0 is the top border and the last copy's gutter is the
+bottom border, so copy j's own frame is rows j (H + 1) to (j + 1) (H + 1)
+inclusive, and a canvas of one copy is exactly a single run's frame.  A
+single run is a canvas of one copy, so there is no second path; the DFS,
+whose state has no frame, runs as one.
 """
 
 from __future__ import annotations
@@ -22,21 +21,6 @@ from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
-
-
-def run(step_fn: Callable, state: Any, halted: Callable, horizon: int,
-        observe: Callable | None = None) -> tuple[Any, bool]:
-    """Step ``state`` until ``halted(prev, state)`` holds or ``horizon``
-    steps have run; returns the last state and whether the run halted.  A
-    step returns a fresh state, and a state stays readable until its
-    successor is stepped, so ``prev`` needs no copy."""
-    for _ in range(horizon):
-        prev, state = state, step_fn(state)
-        if observe is not None:
-            observe(state)
-        if halted(prev, state):
-            return state, True
-    return state, False
 
 
 def copy_frame(plane: np.ndarray, j: int, copies: int) -> np.ndarray:
@@ -50,6 +34,14 @@ def copy_frame(plane: np.ndarray, j: int, copies: int) -> np.ndarray:
     return np.ascontiguousarray(plane[:, j * rows : (j + 1) * rows + 1])
 
 
+def unchanged(prev: np.ndarray, frame: np.ndarray, plane: int, copies: int) -> np.ndarray:
+    """Per copy of a canvas frame (C x rows x columns) of ``copies`` copies:
+    the copy's rows of ``plane`` are those of ``prev``, the frame a step
+    earlier.  The top border row belongs to no copy."""
+    same = frame[plane, 1:] == prev[plane, 1:]
+    return same.reshape(copies, -1).all(axis=1)
+
+
 def _keep(frame: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The canvas frame with only the copies where ``keep`` (one bool per
     copy) holds, the top border row included, in one new array."""
@@ -61,20 +53,22 @@ def run_canvas(step_fn: Callable, state: Any, copies: int, halted: Callable,
                read: Callable, horizon: int,
                observe: Callable | None = None) -> np.ndarray:
     """Step a canvas of ``copies`` copies until every copy has halted or
-    ``horizon`` steps have run.  ``state`` has a ``frame`` and a ``const``
-    plane laid out as the canvas; ``halted(prev, state, m)`` says which of
-    the canvas's m copies halt at this step, and ``read(state, m, at, ids)``
-    reads out the copies at positions ``at`` of the canvas's m, whose batch
-    indices are ``ids``: each copy once, at its halting step, or at the last
-    step if it never halts.  Returns the batch indices of the copies that
-    never halted.
+    ``horizon`` steps have run.  ``halted(prev, state, m)`` returns the
+    positions (an int array) of the canvas's m copies that halt at this
+    step, and ``read(state, m, at, ids)`` reads out the copies at positions
+    ``at`` of the canvas's m, whose batch indices are ``ids``: each copy
+    once, at its halting step, or at the last step if it never halts.
+    Returns the batch indices of the copies that never halted.
 
     A read copy stays on the canvas, masked out, until at least half of the
-    canvas has halted; then the halted copies' rows leave the frame and the
-    constant plane together.  That is exact when a gutter row's constant
-    plane holds it at zero whichever copies neighbour it, which each
-    automaton's kernels guarantee.  A step returns a fresh state, so
-    ``prev`` needs no copy, and the canvas holds at most two frames."""
+    canvas has halted; then the halted copies' rows leave the ``frame`` and
+    the ``const`` plane of the state together.  That is exact when a gutter
+    row's constant plane holds it at zero whichever copies neighbour it,
+    which each automaton's kernels guarantee.  A canvas of one copy never
+    drops rows, since its one copy ends the run, so the loop never touches
+    its state's planes: the DFS, whose state is unframed, runs so.  A step
+    returns a fresh state, so ``prev`` needs no copy, and the canvas holds
+    at most two frames."""
     ids = np.arange(copies)  # canvas copy j is batch copy ids[j]
     gone = np.zeros(copies, dtype=bool)  # canvas copy j halted and was read
     m, n_gone = copies, 0
@@ -83,10 +77,9 @@ def run_canvas(step_fn: Callable, state: Any, copies: int, halted: Callable,
         state = step_fn(prev)
         if observe is not None:
             observe(state)
-        done = halted(prev, state, m)
+        at = halted(prev, state, m)
         if n_gone:
-            done &= ~gone
-        at = done.nonzero()[0]
+            at = at[~gone[at]]
         if not len(at):
             continue
         read(state, m, at, ids[at])

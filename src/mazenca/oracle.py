@@ -117,6 +117,8 @@ def dfs_order(maze: Maze, start: tuple[int, int]) -> list[tuple[int, int]]:
     is popped and the search teleports there.  A heap finds that entry in
     O(log stack) per pop.
     """
+    if not maze.contains(start):
+        raise MazeError(f"DFS start {start} is outside the {maze.height}x{maze.width} maze")
     if maze.walls[start]:
         raise MazeError(f"DFS start {start} is a wall")
     H, W = maze.walls.shape

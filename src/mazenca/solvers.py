@@ -22,7 +22,7 @@ import numpy as np
 from .bfs import bfs_batch
 from .extract import extract_batch
 from .grid import Maze, MazeError, render_maze
-from .oracle import Unreachable, shortest_path_union
+from .oracle import Unreachable, diameter_oracle, shortest_path_union
 
 
 class ZerosSolver:
@@ -33,11 +33,21 @@ class ZerosSolver:
 
 
 class OracleSolver:
-    """Perfect solver: returns the oracle union of shortest paths."""
+    """Perfect solver: returns the oracle union of shortest paths between
+    the maze's endpoints.  A maze without endpoints is a diameter maze, and
+    its paths join ``diameter_oracle``'s endpoints; a diameter that is a
+    single tile is that tile."""
 
     name = "oracle"
 
     def solve(self, maze: Maze) -> np.ndarray:
+        if maze.source is None and maze.target is None:
+            _, (u, v) = diameter_oracle(maze)
+            if u == v:
+                mask = np.zeros(maze.walls.shape)
+                mask[u] = 1.0
+                return mask
+            maze = Maze(walls=maze.walls, source=u, target=v)
         try:
             _, mask = shortest_path_union(maze)
         except Unreachable:

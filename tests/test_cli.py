@@ -129,6 +129,17 @@ def test_evolve_command(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_evolve_scores_a_diameter_dataset_with_the_oracle(tmp_path):
+    data = tmp_path / "data.jsonl"
+    assert main(["gen", "--task", "diameter", "--n", "24", "--size", "8",
+                 "--seed", "5", "--out", str(data)]) == 0
+    out, stats = tmp_path / "evolved.jsonl", tmp_path / "stats.csv"
+    assert main(["evolve", "--dataset", str(data), "--solver", "oracle",
+                 "--generations", "2", "--out", str(out), "--stats-out", str(stats),
+                 "--batch-size", "8", "--n-flips", "3", "--loss-threshold", "1.0"]) == 0
+    assert len(read_dataset(out)) == 24
+
+
 @pytest.mark.parametrize("threshold", ["1.0", "0.0"])
 @pytest.mark.parametrize("flips", ["0", "-3"])
 def test_evolve_without_flips_is_usage_error(tmp_path, capsys, flips, threshold):

@@ -107,6 +107,9 @@ def test_trace_errors(tmp_path):
     path.write_bytes(b"BAD!" + b"\x00" * 20)
     with pytest.raises(MazeError, match="magic"):
         read_trace(path)
+    path.write_bytes(b"NCAT\x01\x00")
+    with pytest.raises(MazeError, match="truncated"):
+        read_trace(path)
     write_trace(path, [np.zeros((1, 2, 2))])
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(MazeError, match="length"):

@@ -207,8 +207,7 @@ def test_evolutions_are_unchanged():
     got = {"budget": evolution_digest(labelled("shortest_path", 16, 512, 1234),
                                       BudgetedNcaSolver(16), cfg)}
     # diameter labels and mutations under the default flip count, scored
-    # maze by maze (the oracle solver needs endpoints, so the zeros solver
-    # scores the diameter set)
+    # maze by maze by the zeros solver
     cfg = EvolutionConfig(generations=3, task="diameter", loss_threshold=1.0,
                           batch_size=16, seed=1234)
     got["diameter"] = evolution_digest(labelled("diameter", 9, 64, 1234), ZerosSolver(), cfg)

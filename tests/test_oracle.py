@@ -292,3 +292,6 @@ def test_oracle_rejects_tiles_outside_the_grid(pos):
         reachable(maze, pos, (2, 2))
     with pytest.raises(MazeError, match="outside"):
         reachable(maze, (0, 0), pos)
+    # (-1, 0) once started a visit order at the wrapped tile
+    with pytest.raises(MazeError, match="outside"):
+        dfs_order(maze, pos)

@@ -15,7 +15,6 @@ from mazenca.dataset import read_trace
 from mazenca.dfs import run_dfs
 from mazenca.extract import ExtractionFailed, run_extract
 from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
-from mazenca.loop import run
 from mazenca.tensor import KernelStack
 from sweep import endpoint_sweep
 from test_tensor import naive_conv2d
@@ -96,11 +95,36 @@ def test_step_function_is_looked_up_at_call_time(monkeypatch):
 
 
 def test_run_loop_halts_observes_and_stops_at_horizon():
-    seen = []
-    state, halted = run(lambda s: s + 1, 0, lambda prev, s: s == 3, 10, seen.append)
-    assert (state, halted, seen) == (3, True, [1, 2, 3])
-    state, halted = run(lambda s: s + 1, 0, lambda prev, s: False, 4)
-    assert (state, halted) == (4, False)
+    # a canvas of one copy never drops rows, so its state needs no planes
+    def halts_at(step):
+        return lambda prev, s, m: np.arange(m) if s == step else np.arange(0)
+
+    seen, reads = [], []
+
+    def record(s, m, at, ids):
+        reads.append((s, m, at.tolist(), ids.tolist()))
+
+    left = loop.run_canvas(lambda s: s + 1, 0, 1, halts_at(3), record, 10, seen.append)
+    assert (left.tolist(), seen, reads) == ([], [1, 2, 3], [(3, 1, [0], [0])])
+    reads.clear()
+    left = loop.run_canvas(lambda s: s + 1, 0, 1, halts_at(5), record, 4)
+    assert (left.tolist(), reads) == ([0], [(4, 1, [0], [0])])
+
+    # flood copies meet or prove their target unreachable at different
+    # steps; each is read once, at its own single run's halting step
+    mazes = [parse_maze(text) for text in
+             ("S......T", "ST......", "S..#...T", ".S...T..", "S.T.....", "S.....T.")]
+    want = [run_bfs(maze).final.step for maze in mazes]
+    assert len(set(want)) > 3
+    seen, reads = [], []
+
+    def read(state, m, at, ids):
+        reads.extend((i, state.step) for i in ids.tolist())
+
+    left = loop.run_canvas(bfs.bfs_step, bfs.initial_state(mazes), len(mazes),
+                           bfs.floods_halted, read, 10, seen.append)
+    assert left.tolist() == [] and len(seen) == max(want)
+    assert sorted(reads) == list(enumerate(want))
 
 
 def _run_states(algo):
@@ -116,7 +140,7 @@ def _run_states(algo):
 
 @pytest.mark.parametrize("algo", ["bfs", "extract"])
 def test_step_returns_a_fresh_state_and_never_writes_its_input(algo):
-    # loop.run hands the previous state to the halting rule uncopied, and the
+    # loop.run_canvas hands the previous state to the halting rule uncopied, and the
     # trace keeps every state, so a flood or extraction step must not write
     # its input
     states, step_fn = _run_states(algo)
@@ -133,33 +157,30 @@ def test_step_returns_a_fresh_state_and_never_writes_its_input(algo):
 
 def test_a_dfs_state_stays_readable_until_its_successor_is_stepped():
     # A DFS run writes its planes and its base in place and keeps the undo
-    # of its last step, so loop.run can hand the previous state to the
-    # halting rule uncopied: a state reads the same until its successor is
-    # stepped, and only the run's last state can be stepped.  The base of
-    # the next state adds the route's stamps, the conv of the tiles the step
-    # routes.
+    # of its last step, so a tracer wrapped around dfs_step reads the state
+    # it stepped: a state reads the same until its successor is stepped, and
+    # only the run's last state can be stepped.  A step adds the route's
+    # stamps, the conv of the tiles it routes, to the run's base.
     maze, start = parse_maze(GOLDEN_MAZE), (8, 3)
     n = run_dfs(maze, start).steps_used
     state = dfs.initial_state(maze, start, 2 * int((~maze.walls).sum()))
     route = dfs.build_dfs_weights().weights[:, dfs.ROUTE : dfs.ROUTE + 1]
     route = KernelStack(route, np.zeros(dfs.N_HIDDEN))
     for _ in range(n):
-        hidden, const = state.hidden, state.base
+        hidden, const = state.hidden, state.arrays.base.copy()
         a = dfs.dfs_step(state)
         assert a.step == state.step + 1
         assert not np.shares_memory(a.hidden, state.hidden)
         np.testing.assert_array_equal(state.hidden, hidden)
-        np.testing.assert_array_equal(state.base, const)
         routed = a.hidden[dfs.ROUTE] - hidden[dfs.ROUTE]
         assert routed.sum() <= 1
-        np.testing.assert_array_equal(a.base, const + naive_conv2d(routed[None], route))
+        np.testing.assert_array_equal(a.arrays.base, const + naive_conv2d(routed[None], route))
         with pytest.raises(RuntimeError, match="last state"):
             dfs.dfs_step(state)
         state, prev = a, state
     dfs.dfs_step(state)
-    for read in (lambda: prev.hidden, lambda: prev.base):
-        with pytest.raises(RuntimeError, match="2 steps behind"):
-            read()
+    with pytest.raises(RuntimeError, match="2 steps behind"):
+        prev.hidden
 
 
 def test_static_stack_is_convolved_once_per_run(monkeypatch):

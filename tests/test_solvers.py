@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mazenca.bfs import run_bfs
+from mazenca.evolve import label_maze
 from mazenca.extract import run_extract
 from mazenca.grid import GenConfig, generate_maze, parse_maze
 from mazenca.oracle import normalized_accuracy, shortest_path_union
@@ -51,6 +52,19 @@ def test_oracle_solver_anchor():
     pred = OracleSolver().solve(MAZE)
     _, truth = shortest_path_union(MAZE)
     assert normalized_accuracy(pred, truth) == 100.0
+
+
+def test_oracle_solver_covers_diameter_labels():
+    # a diameter maze has no endpoints; the oracle solver's paths join the
+    # diameter oracle's, so they cover the diameter label
+    for i in range(40):
+        maze = generate_maze(GenConfig(width=9, height=9, task="diameter"),
+                             rng=np.random.default_rng([11, i]))
+        label, _ = label_maze(maze, "diameter")
+        pred = OracleSolver().solve(maze)
+        assert pred.shape == label.shape and (pred[label] == 1.0).all()
+    single = parse_maze("#.#\n###")
+    np.testing.assert_array_equal(OracleSolver().solve(single), [[0, 1, 0], [0, 0, 0]])
 
 
 def test_budgeted_solver_within_budget():

@@ -264,7 +264,7 @@ def test_int_dtype_covers_each_automaton_bound():
         maze = Maze(walls=np.zeros((side, side), dtype=bool))
         # run_dfs's default horizon is twice the number of empty tiles
         state = dfs_initial_state(maze, (0, 0), 2 * side * side)
-        assert state.hidden.dtype == state.base.dtype == dtype
+        assert state.hidden.dtype == state.arrays.base.dtype == dtype
     with pytest.raises(MazeError, match="overflow"):
         int_dtype(2**63)
     with pytest.raises(MazeError, match="overflow"):
