@@ -14,13 +14,13 @@ add 0 to the age.  ``bfs_step`` steps either flood, with the paper's stack
 sliced to the planes its state holds (``flood_stacks``), and a
 single-source copy halts at its fixpoint.
 The state is an integer tensor in ``flood_dtype``; the maze one-hot enters
-it once, as the constant plane its kernels add to every step.  The state
-keeps the conv's one-cell border (``tensor.conv2d``).  The constant plane
-frames the maze with walls, and a canvas's gutter rows are wall rows, so a
-border or gutter cell's flood pre-activation is at most -6 + 5 and its age
-adds only its own floods: the border and the gutters stay zero, as zero
-padding would, and every static tap is a centre tap, so a copy's slice of
-the constant plane is its single run's.
+it once, as the constant plane its kernels add to every step.  Every static
+tap is a centre tap, so ``flood_canvas`` gives each cell the static taps of
+its own one-hot channel, and a copy's slice of the plane is its single
+run's.  The state keeps the conv's one-cell border (``tensor.conv2d``); the
+border and a canvas's gutter rows take a wall's taps, so their flood
+pre-activations are at most -6 + 5 and their ages add only their own
+floods: they stay zero, as zero padding would.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .loop import copy_frame, run_canvas, unchanged
-from .grid import CH_WALL, Maze, MazeError, one_hot
+from .grid import CH_EMPTY, CH_SOURCE, CH_TARGET, CH_WALL, Maze, MazeError
 from .tensor import KernelStack, conv2d, int_dtype, interior, step, w_center3, w_von_neumann
 
 # hidden channel registry; a single-source flood holds FLOOD_S and AGE only,
@@ -41,7 +41,7 @@ FLOOD_S, FLOOD_T, AGE = 0, 1, 2
 N_HIDDEN = 3
 SOURCE_PLANES = 2
 # conv input order: hidden channels then the maze one-hot, which every run
-# folds into its constant plane (``flood_plane``)
+# folds into its constant plane (``flood_canvas``)
 IN_FLOOD_S, IN_FLOOD_T, IN_AGE, IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = range(7)
 
 
@@ -108,29 +108,33 @@ def flood_dtype(height: int, width: int) -> np.dtype:
     return int_dtype(max(flood_horizon(height, width), 6))
 
 
-def flood_plane(onehot: np.ndarray, planes: int = N_HIDDEN) -> np.ndarray:
-    """Framed constant plane of a flood of ``planes`` planes over a
-    4 x H x W maze one-hot framed with walls, in the one-hot's dtype.  Every
-    static tap is a centre tap, so the wall frame is convolved as the
-    interior of a second frame."""
-    _, H, W = onehot.shape
-    walled = np.zeros((4, H + 4, W + 4), onehot.dtype)
-    walled[CH_WALL, 1:-1, 1:-1] = 1
-    walled[:, 2:-2, 2:-2] = onehot
-    return np.ascontiguousarray(conv2d(walled, flood_stacks(planes)[1])[:, 1:-1, 1:-1])
+@functools.cache
+def _centre_taps(planes: int, dtype: np.dtype) -> np.ndarray:
+    """planes x 4, in ``dtype``: column c is the constant plane of a flood
+    of ``planes`` planes at a cell of one-hot channel c, the static stack's
+    centre taps from c plus its bias."""
+    static = flood_stacks(planes)[1]
+    return (static.weights[:, :, 1, 1] + static.bias[:, None]).astype(dtype)
 
 
-def initial_state(mazes: Sequence[Maze]) -> BfsState:
-    """Canvas of bidirectional floods, one copy per maze of ``mazes`` (one
-    shape), with a wall row between neighbouring copies."""
-    H, W = mazes[0].walls.shape
-    onehot = np.zeros((4, len(mazes) * (H + 1) - 1, W), flood_dtype(H, W))
-    for j, maze in enumerate(mazes):
-        if j:
-            onehot[CH_WALL, j * (H + 1) - 1] = 1
-        onehot[:, j * (H + 1) : j * (H + 1) + H] = one_hot(maze)
-    const = flood_plane(onehot)
-    return BfsState(frame=np.zeros(const.shape, const.dtype), const=const)
+def flood_canvas(walls: np.ndarray, ends: Sequence[tuple[int, np.ndarray]],
+                 planes: int) -> BfsState:
+    """Canvas of floods of ``planes`` planes, one copy per maze of ``walls``
+    (n x H x W bool), with a wall row between neighbouring copies.  ``ends``
+    pairs a one-hot channel with the n x 2 tiles, one per copy, that it
+    marks.  The frame starts at zero."""
+    n, H, W = walls.shape
+    dtype = flood_dtype(H, W)
+    taps = _centre_taps(planes, dtype)
+    # 1 on a wall, the border and the gutters included
+    framed = np.ones((n * (H + 1) + 1, W + 2), dtype)
+    framed[1:].reshape(n, H + 1, W + 2)[:, :H, 1:-1] = walls
+    const = framed * (taps[:, CH_WALL] - taps[:, CH_EMPTY])[:, None, None]
+    const += taps[:, CH_EMPTY, None, None]
+    tops = np.arange(1, n * (H + 1), H + 1)  # each copy's first row
+    for channel, tiles in ends:
+        const[:, tops + tiles[:, 0], tiles[:, 1] + 1] = taps[:, channel, None]
+    return BfsState(frame=np.zeros(const.shape, dtype), const=const)
 
 
 def bfs_step(state: BfsState) -> BfsState:
@@ -210,8 +214,10 @@ def bfs_batch(
             results[i] = BfsResult(met=bool(met[j]), meet_step=state.step if met[j] else None,
                                    final=final, maze=mazes[i])
 
-    run_canvas(bfs_step, initial_state(mazes), len(mazes), floods_halted, read,
-               max_steps, observe)
+    ends = ((CH_SOURCE, np.array([maze.source for maze in mazes])),
+            (CH_TARGET, np.array([maze.target for maze in mazes])))
+    canvas = flood_canvas(np.array([maze.walls for maze in mazes]), ends, N_HIDDEN)
+    run_canvas(bfs_step, canvas, len(mazes), floods_halted, read, max_steps, observe)
     return results
 
 

@@ -51,15 +51,30 @@ def record_to_json(rec: DatasetRecord) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when it is a ``kind`` and not a bool, which JSON keeps apart
+    from numbers, else a MazeError naming ``what`` it should have been."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MazeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _rows(obj: dict, name: str) -> list[str]:
+    return [_typed(row, str, f"a row of {name}") for row in _typed(obj[name], list, name)]
+
+
 def record_from_json(line: str) -> DatasetRecord:
-    obj = json.loads(line)
-    maze = parse_maze("\n".join(obj["maze"]))
-    solution = _rows_mask(obj["solution"], maze.width)
-    if len(obj["solution"]) != maze.height:
+    obj = _typed(json.loads(line), dict, "a record")
+    meta = _typed(obj.get("meta", {}), dict, "meta")
+    _typed(meta.get("d_tiles", 0), int, "meta d_tiles")
+    maze = parse_maze("\n".join(_rows(obj, "maze")))
+    rows = _rows(obj, "solution")
+    solution = _rows_mask(rows, maze.width)
+    if len(rows) != maze.height:
         raise MazeError("solution height does not match maze")
     return DatasetRecord(
-        id=obj["id"], task=obj["task"], maze=maze, solution=solution,
-        meta=obj.get("meta", {}),
+        id=_typed(obj["id"], str, "id"), task=_typed(obj["task"], str, "task"), maze=maze,
+        solution=solution, meta=meta,
     )
 
 

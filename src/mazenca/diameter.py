@@ -16,9 +16,8 @@ changing has reached its fixpoint (``bfs.flood_fixpoint``); its ages are
 copied out at that step, and it rides along until the runner drops it.
 After the canvas run, the source ages, the farthest tiles and the bounds of
 all its floods are read from those copies at once, and each maze's bounds
-are folded once.  Every static flood tap is a centre tap, so the constant
-plane is built once per maze and gathered for its copies, each adding its
-own source's tap, and a leaving copy's rows are dropped from it.
+are folded once.  The constant plane comes from ``bfs.flood_canvas``, and
+a leaving copy's rows are dropped from it.
 
 Only the tiles that could still hold the diameter flood, as in Takes and
 Kosters' BoundingDiameters (CIKM 2011).  A settled flood from u gives the
@@ -51,15 +50,13 @@ from .bfs import (
     BfsState,
     bfs_batch,
     bfs_step,
-    flood_dtype,
+    flood_canvas,
     flood_fixpoint,
     flood_horizon,
-    flood_plane,
-    flood_stacks,
 )
 from .dfs import DfsTrace
 from .extract import extract_batch
-from .grid import CH_EMPTY, CH_SOURCE, CH_WALL, Maze, MazeError
+from .grid import CH_SOURCE, Maze, MazeError
 from .loop import run_canvas
 
 # canvas rows x columns per flood run; larger mazes split their tiles over
@@ -96,29 +93,6 @@ def schedule_dijkstra_calls(trace: DfsTrace) -> list[tuple[int, tuple[int, int],
     return schedule
 
 
-def _canvas_plane(mazes: Sequence[Maze], tiles: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Constant plane of a canvas with one copy of maze m per tile
-    (m, row, column), that tile its source, and a wall row between
-    neighbouring copies.  Every static flood tap is a centre tap, so the
-    mazes' planes are built once, on a canvas of one copy per maze; each
-    copy gathers its maze's rows, its gutter row included, and its source
-    trades the empty tile's tap for the source's."""
-    H, W = mazes[0].walls.shape
-    which, rows, cols = tiles.T
-    k, n = len(mazes), len(tiles)
-    onehot = np.zeros((4, k, H + 1, W), dtype)
-    onehot[CH_WALL, :, :H] = np.stack([maze.walls for maze in mazes])
-    onehot[CH_EMPTY, :, :H] = 1 - onehot[CH_WALL, :, :H]
-    onehot[CH_WALL, :, H] = 1
-    # the last maze's wall row is the frame's bottom border
-    plane = flood_plane(onehot.reshape(4, -1, W)[:, :-1], SOURCE_PLANES)
-    copies = plane[:, 1:].reshape(SOURCE_PLANES, k, H + 1, W + 2)[:, which]
-    static = flood_stacks(SOURCE_PLANES)[1].weights[:, :, 1, 1]
-    tap = (static[:, CH_SOURCE] - static[:, CH_EMPTY]).astype(dtype)
-    copies[:, np.arange(n), rows, cols + 1] += tap[:, None]
-    return np.concatenate([plane[:, :1], copies.reshape(SOURCE_PLANES, -1, W + 2)], axis=1)
-
-
 def source_ages(
     mazes: Sequence[Maze], tiles: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,15 +110,15 @@ def source_ages(
     that none reached."""
     H, W = mazes[0].walls.shape
     n, which = len(tiles), tiles[:, 0]
-    const = _canvas_plane(mazes, tiles, flood_dtype(H, W))
-    settled = np.empty((n, H, W), const.dtype)  # each flood's ages at its fixpoint
+    walls = np.array([maze.walls for maze in mazes])[which]
+    canvas = flood_canvas(walls, ((CH_SOURCE, tiles[:, 1:]),), SOURCE_PLANES)
+    settled = np.empty((n, H, W), canvas.frame.dtype)  # each flood's ages at its fixpoint
 
     def read(state: BfsState, m: int, at: np.ndarray, done: np.ndarray) -> None:
         # the age is the last plane, and each copy's rows end with its gutter
         settled[done] = state.frame[-1, 1:].reshape(m, H + 1, W + 2)[at, :H, 1:-1]
 
-    left = run_canvas(bfs_step, BfsState(frame=np.zeros_like(const), const=const), n,
-                      flood_fixpoint, read, flood_horizon(H, W))
+    left = run_canvas(bfs_step, canvas, n, flood_fixpoint, read, flood_horizon(H, W))
     if len(left):
         raise MazeError(f"{len(left)} floods did not settle within {flood_horizon(H, W)} steps")
 

@@ -39,6 +39,9 @@ class Maze:
     target: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
+        # ~walls must be the open tiles; on an integer array it is a bitwise NOT
+        if not isinstance(self.walls, np.ndarray) or self.walls.dtype != bool:
+            raise MazeError("walls must be a bool array")
         if self.walls.ndim != 2 or self.walls.size == 0:
             raise MazeError("maze must be a non-empty 2-D grid")
         for name, pos in (("source", self.source), ("target", self.target)):

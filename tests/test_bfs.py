@@ -9,14 +9,20 @@ from mazenca.bfs import (
     AGE,
     FLOOD_S,
     FLOOD_T,
+    N_HIDDEN,
     SOURCE_PLANES,
     bfs_step,
     build_bfs_weights,
+    flood_canvas,
+    flood_dtype,
     run_bfs,
 )
 from mazenca import diameter
-from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze
+from mazenca.grid import (CH_SOURCE, CH_TARGET, CH_WALL, GenConfig, Maze, MazeError,
+                          generate_maze, one_hot, parse_maze)
 from mazenca.oracle import distance_map, shortest_path_union
+from sweep import sweep_mazes
+from test_tensor import naive_conv2d
 
 
 def test_weight_shapes():
@@ -142,3 +148,49 @@ def test_budget_stops_before_meeting():
     result = run_bfs(parse_maze("S.......T"), max_steps=3)
     assert not result.met
     assert result.final.step == 3
+
+
+def framed_one_hot(mazes):
+    """4 x (n (H + 1) + 1) x (W + 2) one-hot of a canvas of the n mazes
+    (one shape): each maze's one-hot in the frame, the border and the gutter
+    row after each copy all walls."""
+    H, W = mazes[0].walls.shape
+    onehot = np.zeros((4, len(mazes) * (H + 1) + 1, W + 2))
+    onehot[CH_WALL] = 1
+    for j, maze in enumerate(mazes):
+        onehot[:, 1 + j * (H + 1) : 1 + j * (H + 1) + H, 1:-1] = one_hot(maze)
+    return onehot
+
+
+@pytest.mark.parametrize("copies", [1, 3, 8])
+def test_flood_canvas_is_the_papers_conv_of_the_framed_one_hot(copies):
+    # over the whole frame, border and gutters included: a source-flood
+    # canvas against the paper's FLOOD_S and AGE rows, a bidirectional one
+    # against all three, on corridors, all-open and single-tile grids and
+    # random grids, with seeded endpoints
+    static = build_bfs_weights().split(N_HIDDEN)[1]
+    shapes = {}
+    for maze in sweep_mazes(60, 9, seed=24):
+        shapes.setdefault(maze.walls.shape, []).append(maze.walls)
+    for i, group in enumerate(shapes.values()):
+        rng = np.random.default_rng([24, copies, i])
+        singles, pairs = [], []
+        for j in range(copies):
+            walls = group[j % len(group)]
+            empties = [tuple(int(v) for v in t) for t in np.argwhere(~walls)]
+            ends = [empties[k] for k in rng.permutation(len(empties))[:2]]
+            singles.append(Maze(walls=walls, source=ends[0]))
+            if len(ends) == 2:
+                pairs.append(Maze(walls=walls, source=ends[0], target=ends[1]))
+        sources = (CH_SOURCE, np.array([maze.source for maze in singles]))
+        floods = [(singles, [sources], SOURCE_PLANES, [FLOOD_S, AGE])]
+        if len(pairs) == copies:
+            ends = [(channel, np.array([getattr(maze, name) for maze in pairs]))
+                    for channel, name in ((CH_SOURCE, "source"), (CH_TARGET, "target"))]
+            floods.append((pairs, ends, N_HIDDEN, [FLOOD_S, FLOOD_T, AGE]))
+        for mazes, ends, planes, rows in floods:
+            canvas = flood_canvas(np.array([maze.walls for maze in mazes]), ends, planes)
+            want = naive_conv2d(framed_one_hot(mazes), static)[rows]
+            assert canvas.const.dtype == flood_dtype(*group[0].shape)
+            np.testing.assert_array_equal(canvas.const, want, str(mazes[0].walls))
+            assert canvas.frame.shape == want.shape and not canvas.frame.any()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import shlex
 import sys
@@ -252,6 +253,34 @@ def test_evolve_bad_solver_spec_is_usage_error(tmp_path, capsys, spec):
                  "--generations", "1", "--out", str(tmp_path / "e.jsonl"),
                  "--stats-out", str(tmp_path / "s.csv")]) == 2
     assert spec in capsys.readouterr().err
+
+
+BAD_RECORDS = {
+    "list": lambda record: [1],
+    "maze-number": lambda record: {**record, "maze": 5},
+    "maze-row-number": lambda record: {**record, "maze": ["S.", 5]},
+    "solution-string": lambda record: {**record, "solution": "01"},
+    "id-number": lambda record: {**record, "id": 3},
+    "meta-list": lambda record: {**record, "meta": [1]},
+    "d_tiles-string": lambda record: {**record, "meta": {"d_tiles": "x"}},
+    "d_tiles-bool": lambda record: {**record, "meta": {"d_tiles": True}},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_evolve_rejects_a_structurally_bad_record_in_one_line(tmp_path, capsys, edit):
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "2", "--size", "6",
+          "--seed", "2", "--out", str(data)])
+    first, second = data.read_text().splitlines()
+    data.write_text(first + "\n" + json.dumps(edit(json.loads(second))) + "\n")
+    capsys.readouterr()
+    assert main(["evolve", "--dataset", str(data), "--solver", "zeros",
+                 "--generations", "1", "--out", str(tmp_path / "e.jsonl"),
+                 "--stats-out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{data}:2: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _pid_alive(pid):

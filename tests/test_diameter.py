@@ -270,10 +270,10 @@ def test_gutter_isolates_copies_on_open_grid(monkeypatch, cells):
 
 
 def test_static_flood_taps_are_centre_taps():
-    # the canvas gathers each copy's constant plane from its maze's and adds
-    # its source's tap, and drops a settled copy's rows from it instead of
-    # rebuilding it, which is exact only while every plane cell depends on
-    # its own one-hot cell alone
+    # the canvas fills each cell's constant plane from its own one-hot
+    # channel's centre taps, and drops a settled copy's rows from it instead
+    # of rebuilding it, which is exact only while every plane cell depends
+    # on its own one-hot cell alone
     for static in (build_bfs_weights().split(N_HIDDEN)[1], flood_stacks(SOURCE_PLANES)[1]):
         assert static.taps()
         assert all((i, j) == (1, 1) for _, _, i, j, _ in static.taps())
@@ -281,20 +281,20 @@ def test_static_flood_taps_are_centre_taps():
 
 def test_canvas_builds_its_constant_plane_once(monkeypatch):
     calls = []
-    original = diameter.flood_plane
+    original = diameter.flood_canvas
 
-    def counting(onehot, planes):
-        calls.append((onehot.shape, planes))
-        return original(onehot, planes)
+    def counting(walls, ends, planes):
+        calls.append((walls.shape, planes))
+        return original(walls, ends, planes)
 
-    monkeypatch.setattr(diameter, "flood_plane", counting)
+    monkeypatch.setattr(diameter, "flood_canvas", counting)
     maze = walls_only("....\n.#..\n....")
     tiles = np.argwhere(~maze.walls)
     ages, _, _ = single_ages(maze, tiles)
-    # floods from different tiles settle at different steps, yet the plane
-    # is built once, over the one maze, and gathered for all 11 copies
+    # floods from different tiles settle at different steps, yet the canvas
+    # is built once, for all 11 copies
     assert len(set(ages.tolist())) > 1
-    assert calls == [((4, 3, 4), SOURCE_PLANES)]
+    assert calls == [((11, 3, 4), SOURCE_PLANES)]
 
 
 def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
@@ -302,26 +302,26 @@ def test_canvas_drops_settled_copies_once_half_have_settled(monkeypatch):
     # max(x, 8 - x) + 2: one copy at step 6, two at each later step.  At
     # step 8 five of nine have settled, so four copies stay; at step 9 two
     # of those four settle, so two stay; at step 10 the last two settle.
-    # Frame and constant plane leave together, and the plane is built once.
-    kept, planes = [], []
-    keep, plane = loop._keep, diameter.flood_plane
+    # Frame and constant plane leave together, and the canvas is built once.
+    kept, canvases = [], []
+    keep, canvas = loop._keep, diameter.flood_canvas
 
     def recording_keep(frame, live):
         kept.append((len(live), int(live.sum())))
         return keep(frame, live)
 
-    def counting_plane(onehot, n_planes):
-        planes.append(onehot.shape)
-        return plane(onehot, n_planes)
+    def counting_canvas(walls, ends, planes):
+        canvases.append(walls.shape)
+        return canvas(walls, ends, planes)
 
     monkeypatch.setattr(loop, "_keep", recording_keep)
-    monkeypatch.setattr(diameter, "flood_plane", counting_plane)
+    monkeypatch.setattr(diameter, "flood_canvas", counting_canvas)
     maze = walls_only(".........")
     ages, far, _ = single_ages(maze, np.argwhere(~maze.walls))
     assert ages.tolist() == [max(x, 8 - x) + 1 for x in range(9)]
     assert far.tolist() == [[0, 8] if x < 4 else [0, 0] for x in range(9)]
     assert kept == [(9, 4), (9, 4), (4, 2), (4, 2)]
-    assert planes == [(4, 1, 9)]
+    assert canvases == [(9, 1, 9)]
 
 
 def assert_same_run(got, want, msg):

@@ -18,7 +18,8 @@ from mazenca.grid import (
     parse_maze,
     render_maze,
 )
-from mazenca.oracle import distance_map
+from mazenca.bfs import run_bfs
+from mazenca.oracle import distance_map, shortest_path_union
 
 
 @st.composite
@@ -130,3 +131,17 @@ def test_endpoints_outside_the_grid_are_rejected(pos):
     for endpoints in ({"source": pos}, {"target": pos}, {"source": (1, 1), "target": pos}):
         with pytest.raises(MazeError, match="outside"):
             Maze(walls=walls, **endpoints)
+
+
+def test_non_boolean_walls_are_rejected():
+    # on an integer array ~walls is a bitwise NOT, so an oracle that reads
+    # the open tiles as ~walls would see every wall as open: with 0/1 walls
+    # this maze's shortest path would read 2 moves, not its 6
+    walls = [[0, 1, 0], [0, 1, 0], [0, 0, 0]]
+    for array in (np.array(walls), np.array(walls, dtype=np.int8), np.array(walls, float),
+                  walls):
+        with pytest.raises(MazeError, match="bool"):
+            Maze(walls=array, source=(0, 0), target=(0, 2))
+    maze = Maze(walls=np.array(walls, dtype=bool), source=(0, 0), target=(0, 2))
+    assert shortest_path_union(maze)[0] == 6
+    assert run_bfs(maze).meet_step == 6 // 2 + 1

@@ -14,7 +14,8 @@ from mazenca.cli import main
 from mazenca.dataset import read_trace
 from mazenca.dfs import run_dfs
 from mazenca.extract import ExtractionFailed, run_extract
-from mazenca.grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
+from mazenca.grid import (CH_SOURCE, CH_TARGET, GenConfig, Maze, MazeError, generate_maze,
+                          parse_maze, render_maze)
 from mazenca.tensor import KernelStack
 from sweep import endpoint_sweep
 from test_tensor import naive_conv2d
@@ -121,8 +122,11 @@ def test_run_loop_halts_observes_and_stops_at_horizon():
     def read(state, m, at, ids):
         reads.extend((i, state.step) for i in ids.tolist())
 
-    left = loop.run_canvas(bfs.bfs_step, bfs.initial_state(mazes), len(mazes),
-                           bfs.floods_halted, read, 10, seen.append)
+    ends = ((CH_SOURCE, np.array([maze.source for maze in mazes])),
+            (CH_TARGET, np.array([maze.target for maze in mazes])))
+    canvas = bfs.flood_canvas(np.array([maze.walls for maze in mazes]), ends, bfs.N_HIDDEN)
+    left = loop.run_canvas(bfs.bfs_step, canvas, len(mazes), bfs.floods_halted, read, 10,
+                           seen.append)
     assert left.tolist() == [] and len(seen) == max(want)
     assert sorted(reads) == list(enumerate(want))
 
@@ -202,8 +206,17 @@ def test_static_stack_is_convolved_once_per_run(monkeypatch):
 
         monkeypatch.setattr(module, "conv2d", counting)
 
+    # the flood convolves no static stack: its constant plane is looked up
+    # from the static stack's centre taps, once per run
+    canvas = bfs.flood_canvas
+
+    def counting_canvas(walls, ends, planes):
+        calls["mazenca.bfs", "canvas"] += 1
+        return canvas(walls, ends, planes)
+
+    monkeypatch.setattr(bfs, "flood_canvas", counting_canvas)
     result = run_bfs(maze)
-    assert calls == {("mazenca.bfs", "static"): 1, ("mazenca.bfs", "dynamic"): result.meet_step}
+    assert calls == {("mazenca.bfs", "canvas"): 1, ("mazenca.bfs", "dynamic"): result.meet_step}
     calls.clear()
     steps = run_extract(result).steps_used + 1
     assert calls == {("mazenca.extract", "static"): 1, ("mazenca.extract", "dynamic"): steps}
