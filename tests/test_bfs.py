@@ -178,10 +178,10 @@ def test_flood_canvas_is_the_papers_conv_of_the_framed_one_hot(copies):
         for j in range(copies):
             walls = group[j % len(group)]
             empties = [tuple(int(v) for v in t) for t in np.argwhere(~walls)]
-            ends = [empties[k] for k in rng.permutation(len(empties))[:2]]
-            singles.append(Maze(walls=walls, source=ends[0]))
-            if len(ends) == 2:
-                pairs.append(Maze(walls=walls, source=ends[0], target=ends[1]))
+            picks = [empties[k] for k in rng.permutation(len(empties))[:2]]
+            singles.append(Maze(walls=walls, source=picks[0]))
+            if len(picks) == 2:
+                pairs.append(Maze(walls=walls, source=picks[0], target=picks[1]))
         sources = (CH_SOURCE, np.array([maze.source for maze in singles]))
         floods = [(singles, [sources], SOURCE_PLANES, [FLOOD_S, AGE])]
         if len(pairs) == copies:
