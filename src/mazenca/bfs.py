@@ -33,7 +33,7 @@ import numpy as np
 
 from .loop import copy_frame, run_canvas, unchanged
 from .grid import CH_EMPTY, CH_SOURCE, CH_TARGET, CH_WALL, Maze, MazeError
-from .tensor import KernelStack, conv2d, int_dtype, interior, step, w_center3, w_von_neumann
+from .tensor import KernelStack, conv2d, int_dtype, interior, step, w_cells
 
 # hidden channel registry; a single-source flood holds FLOOD_S and AGE only,
 # its age last, as in every flood
@@ -63,24 +63,19 @@ class BfsResult:
 
 
 def build_bfs_weights() -> KernelStack:
-    w1 = w_center3()
-    wt = w_von_neumann()
-    w = np.zeros((N_HIDDEN, 7, 3, 3))
+    w1 = w_cells(3, [(1, 1)])  # the centre
+    wt = w_cells(3, [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])  # the von Neumann neighbourhood
+    w = np.zeros((N_HIDDEN, 7, 3, 3), np.int64)
     w[FLOOD_S, IN_SOURCE] = w1
     w[FLOOD_S, IN_FLOOD_S] = wt
-    w[FLOOD_S, IN_WALL] = -6.0 * w1
+    w[FLOOD_S, IN_WALL] = -6 * w1
     w[FLOOD_T, IN_TARGET] = w1
     w[FLOOD_T, IN_FLOOD_T] = wt
-    w[FLOOD_T, IN_WALL] = -6.0 * w1
+    w[FLOOD_T, IN_WALL] = -6 * w1
     w[AGE, IN_FLOOD_S] = w1
     w[AGE, IN_FLOOD_T] = w1
     w[AGE, IN_AGE] = w1
-    return KernelStack(weights=w, bias=np.zeros(N_HIDDEN))
-
-
-@functools.cache
-def _weights() -> KernelStack:
-    return build_bfs_weights()
+    return KernelStack(weights=w, bias=np.zeros(N_HIDDEN, np.int64))
 
 
 @functools.cache
@@ -89,7 +84,7 @@ def flood_stacks(planes: int) -> tuple[KernelStack, KernelStack]:
     stack for N_HIDDEN, or its FLOOD_S and AGE rows and hidden columns for
     SOURCE_PLANES.  The static stack takes the maze one-hot's four channels
     in both."""
-    ks = _weights()
+    ks = build_bfs_weights()
     if planes == SOURCE_PLANES:
         inputs = [IN_FLOOD_S, IN_AGE, IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET]
         ks = KernelStack(weights=ks.weights[[FLOOD_S, AGE]][:, inputs],

@@ -18,7 +18,7 @@ from .dfs import run_dfs
 from .diameter import diameter_nca
 from .evolve import EvolutionConfig, label_maze, run_evolution
 from .extract import run_extract
-from .grid import GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
+from .grid import TASKS, GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
 from .solvers import ExternalSolver, make_solver
 from .verify import default_workers, verify_task
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a JSON-Lines dataset")
-    p.add_argument("--task", choices=["shortest_path", "diameter"], required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", default="16", help="N or HxW")
     p.add_argument("--seed", type=int, default=0)
@@ -308,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except MazeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MazeError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Maze, MazeError, parse_maze, render_maze
+from .grid import TASKS, Maze, MazeError, parse_maze, render_maze
 
 
 @dataclass
 class DatasetRecord:
     id: str
-    task: str  # shortest_path | diameter
+    task: str  # one of grid.TASKS
     maze: Maze
     solution: np.ndarray  # bool H x W
     meta: dict = field(default_factory=dict)
@@ -65,6 +65,9 @@ def _rows(obj: dict, name: str) -> list[str]:
 
 def record_from_json(line: str) -> DatasetRecord:
     obj = _typed(json.loads(line), dict, "a record")
+    task = _typed(obj["task"], str, "task")
+    if task not in TASKS:
+        raise MazeError(f"unknown task {task!r}")
     meta = _typed(obj.get("meta", {}), dict, "meta")
     _typed(meta.get("d_tiles", 0), int, "meta d_tiles")
     maze = parse_maze("\n".join(_rows(obj, "maze")))
@@ -72,10 +75,8 @@ def record_from_json(line: str) -> DatasetRecord:
     solution = _rows_mask(rows, maze.width)
     if len(rows) != maze.height:
         raise MazeError("solution height does not match maze")
-    return DatasetRecord(
-        id=_typed(obj["id"], str, "id"), task=_typed(obj["task"], str, "task"), maze=maze,
-        solution=solution, meta=meta,
-    )
+    return DatasetRecord(id=_typed(obj["id"], str, "id"), task=task, maze=maze,
+                         solution=solution, meta=meta)
 
 
 def write_dataset(path: str | Path, records: list[DatasetRecord]) -> None:

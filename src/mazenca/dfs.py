@@ -60,7 +60,7 @@ import numpy as np
 
 from .grid import Maze, MazeError, one_hot
 from .loop import run_canvas
-from .tensor import KernelStack, conv2d, int_dtype, relu, step
+from .tensor import KernelStack, conv2d, int_dtype, relu, step, w_cells
 
 # hidden channel registry
 ROUTE = 0
@@ -78,28 +78,14 @@ IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = 9, 10, 11, 12
 DIR_OFFSETS = [(1, 2), (2, 1), (3, 2), (2, 3)]
 
 
-def _w_single(positions) -> np.ndarray:
-    m = np.zeros((5, 5))
-    for i, j in positions:
-        m[i, j] = 1.0
-    return m
-
-
 # priority matrices: positions of a neighbour's own higher-priority
 # neighbours; an available tile there steals the route first
 W_PRIORITY = {
-    (1, 2): _w_single([]),                          # down: highest priority
-    (2, 1): _w_single([(3, 1)]),                    # right: blocked by left tile's down
-    (3, 2): _w_single([(4, 2), (3, 3)]),            # up: below tile's down, right
-    (2, 3): _w_single([(1, 3), (2, 4), (3, 3)]),    # left: right tile's down, right, up
+    (1, 2): w_cells(5, []),                          # down: highest priority
+    (2, 1): w_cells(5, [(3, 1)]),                    # right: blocked by left tile's down
+    (3, 2): w_cells(5, [(4, 2), (3, 3)]),            # up: below tile's down, right
+    (2, 3): w_cells(5, [(1, 3), (2, 4), (3, 3)]),    # left: right tile's down, right, up
 }
-
-
-def _w_direction() -> np.ndarray:
-    m = np.zeros((5, 5))
-    for code, (i, j) in enumerate(DIR_OFFSETS, start=1):
-        m[i, j] = code
-    return m
 
 
 class RunArrays:
@@ -177,10 +163,10 @@ def _stamp(planes: np.ndarray, r0: int, c0: int, stamp: np.ndarray, r: int, c: i
 
 
 def build_dfs_weights() -> KernelStack:
-    w2 = _w_single([(2, 2)])  # the centre tap
-    wa = _w_single(DIR_OFFSETS)  # the four neighbours
-    wp = _w_direction()
-    w = np.zeros((N_HIDDEN, N_HIDDEN + 4, 5, 5))
+    w2 = w_cells(5, [(2, 2)])  # the centre tap
+    wa = w_cells(5, DIR_OFFSETS)  # the four neighbours
+    wp = w_cells(5, DIR_OFFSETS, values=[1, 2, 3, 4])  # each neighbour's direction code
+    w = np.zeros((N_HIDDEN, N_HIDDEN + 4, 5, 5), np.int64)
 
     w[ROUTE, IN_SOURCE] = w2
     w[ROUTE, ROUTE] = w2
@@ -189,46 +175,43 @@ def build_dfs_weights() -> KernelStack:
 
     for ch, (i, j) in zip(ROUTE_DIRS, DIR_OFFSETS):
         wpd = W_PRIORITY[(i, j)]
-        w[ch, ROUTE] = _w_single([(i, j)]) + wpd
+        w[ch, ROUTE] = w_cells(5, [(i, j)]) + wpd
         for src in (IN_EMPTY, IN_SOURCE, IN_TARGET):
             w[ch, src] = -wpd
 
     w[STACK, PEBBLE] = wa
     w[STACK, STACK] = w2
-    w[STACK, IN_WALL] = -2.0 * w2
-    w[STACK, ROUTE] = -2.0 * w2
+    w[STACK, IN_WALL] = -2 * w2
+    w[STACK, ROUTE] = -2 * w2
 
     w[STACK_DIR, PEBBLE] = wp
     w[STACK_DIR, STACK_DIR] = w2
     # walls and routed tiles never hold a direction, so the inhibition must
     # outweigh any code (at most 4); 10 is the fifth-valued encoding's 2
     # scaled by 5, which keeps this channel exactly 5x that encoding
-    w[STACK_DIR, IN_WALL] = -10.0 * w2
-    w[STACK_DIR, ROUTE] = -10.0 * w2
+    w[STACK_DIR, IN_WALL] = -10 * w2
+    w[STACK_DIR, ROUTE] = -10 * w2
 
     w[STACK_RANK, PEBBLE] = w2
     # self-persistence is required for the rank to count time on the stack;
     # without it every rank collapses to a constant and pops lose LIFO order
     w[STACK_RANK, STACK_RANK] = w2
-    w[STACK_RANK, IN_WALL] = -2.0 * w2
-    w[STACK_RANK, ROUTE] = -2.0 * w2
+    w[STACK_RANK, IN_WALL] = -2 * w2
+    w[STACK_RANK, ROUTE] = -2 * w2
     w[STACK_RANK, STACK] = w2
-    return KernelStack(weights=w, bias=np.zeros(N_HIDDEN))
+    return KernelStack(weights=w, bias=np.zeros(N_HIDDEN, np.int64))
 
 
-@functools.cache
-def _weights() -> KernelStack:
-    return build_dfs_weights()
+DYNAMIC, STATIC = build_dfs_weights().split(N_HIDDEN)
 
 
 @functools.cache
 def _centre() -> KernelStack:
     """The dynamic stack's taps from every input but ROUTE and PEBBLE: the
     five centre taps, as the 1x1 stack a step convolves its window with."""
-    dynamic = _weights().split(N_HIDDEN)[0]
-    w = dynamic.weights.copy()
+    w = DYNAMIC.weights.copy()
     w[:, [ROUTE, PEBBLE]] = 0
-    return KernelStack(weights=w[:, :, 2:3, 2:3], bias=dynamic.bias)
+    return KernelStack(weights=w[:, :, 2:3, 2:3], bias=DYNAMIC.bias)
 
 
 @functools.cache
@@ -236,7 +219,7 @@ def _stamps(dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """The route's and the pebble's stamps, 9 x 5 x 5 in ``dtype``: the
     conv of a one-hot tile in ROUTE or PEBBLE, centred on the tile, which is
     that input's kernels flipped in both axes because conv2d correlates."""
-    w = _weights().weights[:, :, ::-1, ::-1].astype(dtype)
+    w = DYNAMIC.weights[:, :, ::-1, ::-1].astype(dtype)
     return _frozen(w[:, ROUTE].copy()), _frozen(w[:, PEBBLE].copy())
 
 
@@ -250,7 +233,7 @@ def initial_state(maze: Maze, start: tuple[int, int], horizon: int) -> DfsState:
     dtype = int_dtype(max(horizon + 2, 10))
     onehot = one_hot(Maze(walls=maze.walls, source=start)).astype(dtype)
     framed = np.pad(onehot, ((0, 0), (2, 2), (2, 2)))
-    base = conv2d(framed, _weights().split(N_HIDDEN)[1])[:, 2:-2, 2:-2]
+    base = conv2d(framed, STATIC)[:, 2:-2, 2:-2]
     H, W = maze.walls.shape
     planes = np.zeros((N_HIDDEN, H, W), dtype)
     return DfsState(arrays=RunArrays(planes, base), active=((0, H), (0, W)))

@@ -195,6 +195,10 @@ def run_evolution(
     solver,
     cfg: EvolutionConfig,
 ) -> tuple[list[DatasetRecord], list[GenerationStats]]:
+    for i, rec in enumerate(dataset, start=1):
+        if rec.task != cfg.task:
+            raise MazeError(f"record {i} ({rec.id}) has task {rec.task!r}, "
+                            f"not the evolution's {cfg.task!r}")
     rng = np.random.default_rng(cfg.seed)
     stats: list[GenerationStats] = []
     for _ in range(cfg.generations):

@@ -22,7 +22,6 @@ at its fixpoint step and rides along until the canvas drops it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 from .bfs import BfsResult, flood_horizon
 from .loop import run_canvas, unchanged
 from .grid import MazeError
-from .tensor import KernelStack, conv2d, interior, sawtooth, step, w_center3, w_offset3
+from .tensor import KernelStack, conv2d, interior, sawtooth, step, w_cells
 
 # hidden channel registry; directional channels named by the 3x3 kernel
 # offset they watch (the neighbour a path activation arrives from)
@@ -64,22 +63,20 @@ class ExtractionFailed(MazeError):
 
 
 def build_extract_weights() -> KernelStack:
-    w1 = w_center3()
-    w = np.zeros((N_HIDDEN, 8, 3, 3))
-    bias = np.zeros(N_HIDDEN)
+    w1 = w_cells(3, [(1, 1)])  # the centre
+    w = np.zeros((N_HIDDEN, 8, 3, 3), np.int64)
+    bias = np.zeros(N_HIDDEN, np.int64)
     w[PATH, IN_FLOOD_S] = w1
     w[PATH, IN_FLOOD_T] = w1
-    bias[PATH] = -1.0
+    bias[PATH] = -1
     for ch, (i, j) in zip(DIR_CHANNELS, DIR_OFFSETS):
-        wij = w_offset3(i, j)
-        w[ch, IN_AGE] = 2.0 * (wij - w1)
+        wij = w_cells(3, [(i, j)])  # the neighbour the direction watches
+        w[ch, IN_AGE] = 2 * (wij - w1)
         w[ch, PATH] = wij
     return KernelStack(weights=w, bias=bias)
 
 
-@functools.cache
-def _weights() -> KernelStack:
-    return build_extract_weights()
+DYNAMIC, STATIC = build_extract_weights().split(N_HIDDEN)
 
 
 def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
@@ -90,11 +87,11 @@ def initial_state(bfs_frozen: np.ndarray) -> ExtractState:
     # +-(H*W+1), the bound of their dtype (bfs.flood_dtype)
     _, Hp, Wp = bfs_frozen.shape
     frame = np.zeros((N_HIDDEN, Hp, Wp), bfs_frozen.dtype)
-    return ExtractState(frame=frame, const=conv2d(bfs_frozen, _weights().split(N_HIDDEN)[1]))
+    return ExtractState(frame=frame, const=conv2d(bfs_frozen, STATIC))
 
 
 def extract_step(state: ExtractState) -> ExtractState:
-    out = conv2d(state.frame, _weights().split(N_HIDDEN)[0], state.const)
+    out = conv2d(state.frame, DYNAMIC, state.const)
     dirs, path = out[DIR_CHANNELS[0] : DIR_CHANNELS[-1] + 1], out[PATH]
     sawtooth(dirs, -1, out=dirs)
     # The path combines the overlap seed with the directional acceptances so

@@ -29,8 +29,9 @@ flat row wraps through and the border rows between channels, so each
 automaton's activations must return its border to zero: its constant plane
 holds the border below every threshold they fire at.
 
-The activations take ``out=`` so a step applies each one once, in place, to
-a slice of consecutive channels of the conv output.
+The activations take a required ``out=``, so a step applies each one once,
+in place, to a slice of consecutive channels of the conv output.  Each
+automaton writes its weights from the elementary matrices of ``w_cells``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class KernelStack:
     then kernel row, then kernel column, then output channel).  ``runs``
     caches them merged into channel runs, and ``plan`` lays the runs out for
     one input shape; ``conv2d`` adds them in that one fixed order.
+    ``split`` caches nothing: each automaton splits its stack once and keeps
+    the two halves.
     """
 
     weights: np.ndarray
@@ -77,7 +80,6 @@ class KernelStack:
     _taps: list | None = field(default=None, repr=False, compare=False)
     _runs: list | None = field(default=None, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
-    _splits: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -156,16 +158,11 @@ class KernelStack:
         """(dynamic, static) stacks at input channel ``n``: the first ``n``
         input channels with zero bias, and the remaining ones carrying the
         bias, so that for any x
-        ``conv2d(x, self) == conv2d(x[:n], dynamic, conv2d(x[n:], static))``.
-        Built once per ``n`` and cached."""
-        if n not in self._splits:
-            if not 0 < n < self.in_channels:
-                raise TensorError(f"cannot split {self.in_channels} input channels at {n}")
-            self._splits[n] = (
-                KernelStack(weights=self.weights[:, :n], bias=np.zeros_like(self.bias)),
-                KernelStack(weights=self.weights[:, n:], bias=self.bias),
-            )
-        return self._splits[n]
+        ``conv2d(x, self) == conv2d(x[:n], dynamic, conv2d(x[n:], static))``."""
+        if not 0 < n < self.in_channels:
+            raise TensorError(f"cannot split {self.in_channels} input channels at {n}")
+        return (KernelStack(weights=self.weights[:, :n], bias=np.zeros_like(self.bias)),
+                KernelStack(weights=self.weights[:, n:], bias=self.bias))
 
 
 def conv2d(x: np.ndarray, kernels: KernelStack, base: np.ndarray | None = None) -> np.ndarray:
@@ -208,48 +205,29 @@ def interior(state) -> np.ndarray:
     return state.frame[:, 1:-1, 1:-1]
 
 
-def step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 where x > 0, else 0, in x's dtype (strict; an exactly-zero
-    pre-activation means "no flooded neighbour" and must not fire).  Written
-    into ``out``, which may be ``x`` itself, when given."""
-    if out is None:
-        return (x > 0).astype(x.dtype)
+def step(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 where x > 0, else 0, written into ``out``, which may be ``x``
+    itself (strict; an exactly-zero pre-activation means "no flooded
+    neighbour" and must not fire)."""
     return np.greater(x, 0, out=out)
 
 
-def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """max(x, 0), written into ``out``, which may be ``x`` itself, when
-    given."""
+def relu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """max(x, 0), written into ``out``, which may be ``x`` itself."""
     return np.maximum(x, 0, out=out)
 
 
-def sawtooth(x: np.ndarray, a: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Triangular bump max(0, 1 - |x - a|) in x's dtype, written into
-    ``out``, which may be ``x`` itself, when given.  On integer inputs the
-    bump is the indicator of x == a, and is computed as that."""
-    if x.dtype.kind == "f":
-        return np.maximum(0, 1 - np.abs(x - a), out=out)
-    if out is None:
-        return (x == a).astype(x.dtype)
+def sawtooth(x: np.ndarray, a: int, out: np.ndarray) -> np.ndarray:
+    """The paper's triangular bump max(0, 1 - |x - a|), written into
+    ``out``, which may be ``x`` itself.  On the integers it is the indicator
+    of x == a, and is computed as that."""
     return np.equal(x, a, out=out)
 
 
-# elementary 3x3 weight matrices
-
-def w_center3() -> np.ndarray:
-    m = np.zeros((3, 3))
-    m[1, 1] = 1.0
-    return m
-
-
-def w_von_neumann() -> np.ndarray:
-    m = np.zeros((3, 3))
-    for i, j in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
-        m[i, j] = 1.0
-    return m
-
-
-def w_offset3(i: int, j: int) -> np.ndarray:
-    m = np.zeros((3, 3))
-    m[i, j] = 1.0
+def w_cells(k: int, cells, values=None) -> np.ndarray:
+    """An elementary k x k weight matrix, integer: ``values`` (1 by default)
+    at the kernel cells ``cells``, 0 elsewhere."""
+    m = np.zeros((k, k), np.int64)
+    for at, (i, j) in enumerate(cells):
+        m[i, j] = 1 if values is None else values[at]
     return m

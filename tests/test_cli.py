@@ -283,6 +283,45 @@ def test_evolve_rejects_a_structurally_bad_record_in_one_line(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+EVOLVE_ONE = ["--solver", "zeros", "--generations", "1", "--loss-threshold", "1.0",
+              "--batch-size", "1"]
+
+
+def test_evolve_rejects_a_record_of_an_unknown_task(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "2", "--size", "6",
+          "--seed", "2", "--out", str(data)])
+    first, second = data.read_text().splitlines()
+    data.write_text(first + "\n" + json.dumps({**json.loads(second), "task": "foo"}) + "\n")
+    capsys.readouterr()
+    out, stats = tmp_path / "e.jsonl", tmp_path / "s.csv"
+    assert main(["evolve", "--dataset", str(data), *EVOLVE_ONE,
+                 "--out", str(out), "--stats-out", str(stats)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{data}:2: unknown task 'foo'\n"
+    assert not out.exists() and not stats.exists()
+
+
+def test_evolve_rejects_a_dataset_of_mixed_tasks(tmp_path, capsys):
+    # the evolution takes its task from the first record; a later record of
+    # another task would be mutated and labelled as the first one's
+    diameter, shortest = tmp_path / "d.jsonl", tmp_path / "sp.jsonl"
+    for task, path in (("diameter", diameter), ("shortest_path", shortest)):
+        main(["gen", "--task", task, "--n", "1", "--size", "6", "--seed", "2",
+              "--out", str(path)])
+    data = tmp_path / "data.jsonl"
+    data.write_text(diameter.read_text() + shortest.read_text())
+    capsys.readouterr()
+    out, stats = tmp_path / "e.jsonl", tmp_path / "s.csv"
+    assert main(["evolve", "--dataset", str(data), *EVOLVE_ONE,
+                 "--out", str(out), "--stats-out", str(stats)]) == 1
+    err = capsys.readouterr().err
+    assert err == "record 2 (shortest_path-2-0) has task 'shortest_path', " \
+        "not the evolution's 'diameter'\n"
+    assert "Traceback" not in err
+    assert not out.exists() and not stats.exists()
+
+
 def _pid_alive(pid):
     try:
         os.kill(pid, 0)

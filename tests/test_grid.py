@@ -8,6 +8,7 @@ from mazenca.grid import (
     CH_SOURCE,
     CH_TARGET,
     CH_WALL,
+    GENERATION_ATTEMPTS,
     GenConfig,
     Maze,
     MazeError,
@@ -114,8 +115,8 @@ def test_generation_is_deterministic():
 def test_generation_retry_budget():
     # all-wall grids can never host endpoints
     cfg = GenConfig(width=2, height=2, wall_probability=1.0)
-    with pytest.raises(RetryBudgetExhausted):
-        generate_maze(cfg, max_attempts=50)
+    with pytest.raises(RetryBudgetExhausted, match=f"after {GENERATION_ATTEMPTS} attempts"):
+        generate_maze(cfg)
 
 
 def test_diameter_task_has_no_endpoints():

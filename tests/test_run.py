@@ -190,12 +190,11 @@ def test_a_dfs_state_stays_readable_until_its_successor_is_stepped():
 def test_static_stack_is_convolved_once_per_run(monkeypatch):
     maze = parse_maze(GOLDEN_MAZE)
     calls = Counter()
-    for module in (bfs, extract, dfs):
-        dynamic, static = module._weights().split(module.N_HIDDEN)
-        if module is dfs:
-            # the DFS adds its route's and pebble's shares as stamps, and
-            # convolves only the centre taps of its dynamic stack
-            dynamic = dfs._centre()
+    # the DFS adds its route's and pebble's shares as stamps, and convolves
+    # only the centre taps of its dynamic stack
+    stacks = {bfs: bfs.flood_stacks(bfs.N_HIDDEN), extract: (extract.DYNAMIC, extract.STATIC),
+              dfs: (dfs._centre(), dfs.STATIC)}
+    for module, (dynamic, static) in stacks.items():
         original = module.conv2d
 
         def counting(x, kernels, base=None, name=module.__name__, dynamic=dynamic,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,7 @@ from mazenca.tensor import (
     relu,
     sawtooth,
     step,
-    w_center3,
-    w_offset3,
-    w_von_neumann,
+    w_cells,
 )
 from sweep import sweep_mazes
 
@@ -167,7 +167,6 @@ STACKS = [
 def test_constant_plane_split_matches_the_whole_stack(build, n_hidden, shape):
     ks = build()
     dynamic, static = ks.split(n_hidden)
-    assert ks.split(n_hidden) == (dynamic, static) and ks.split(n_hidden)[0] is dynamic
     assert not dynamic.bias.any()
     for seed in range(3):
         rng = np.random.default_rng([seed, n_hidden, *shape])
@@ -213,42 +212,39 @@ def test_kernel_validation():
 
 
 def test_step_is_strict():
-    np.testing.assert_array_equal(step(np.array([-1.0, 0.0, 0.5, 2.0])),
-                                  np.array([0.0, 0.0, 1.0, 1.0]))
-    out = step(np.array([-6, 0, 1, 5], dtype=np.int16))
-    assert out.dtype == np.int16
+    x = np.array([-6, 0, 1, 5], dtype=np.int16)
+    out = np.empty_like(x)
+    assert step(x, out=out) is out
     np.testing.assert_array_equal(out, [0, 0, 1, 1])
+    assert step(x, out=x) is x and x.dtype == np.int16
+    np.testing.assert_array_equal(x, [0, 0, 1, 1])
 
 
 def test_relu():
-    np.testing.assert_array_equal(relu(np.array([-2.0, 0.0, 3.0])),
-                                  np.array([0.0, 0.0, 3.0]))
-    out = relu(np.array([-2, 0, 3], dtype=np.int8))
-    assert out.dtype == np.int8
+    x = np.array([-2, 0, 3], dtype=np.int8)
+    out = np.empty_like(x)
+    assert relu(x, out=out) is out
     np.testing.assert_array_equal(out, [0, 0, 3])
+    assert relu(x, out=x) is x and x.dtype == np.int8
+    np.testing.assert_array_equal(x, [0, 0, 3])
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5))
 def test_sawtooth_is_integer_indicator(x, a):
-    assert sawtooth(np.array(float(x)), a) == (1.0 if x == a else 0.0)
-    out = sawtooth(np.array([x], dtype=np.int16), a)
-    assert out.dtype == np.int16 and out[0] == (1 if x == a else 0)
+    # the paper's triangular bump max(0, 1 - |x - a|)
+    bump = max(0, 1 - abs(x - a))
+    out = np.empty(1, np.int16)
+    assert sawtooth(np.array([x], dtype=np.int16), a, out=out) is out
+    assert out[0] == bump
     # written in place into a slice of channels, as the extraction step does
     for dtype in (np.int8, np.int16):
         planes = np.array([[x, a, 9], [a, x, x], [x + 1, a - 1, a]], dtype=dtype)
-        kept, want = planes[0].copy(), (planes[1:] == a).astype(dtype)
+        kept = planes[0].copy()
+        want = np.maximum(0, 1 - np.abs(planes[1:].astype(np.int64) - a))
         dirs = planes[1:]
         assert sawtooth(dirs, a, out=dirs) is dirs
         np.testing.assert_array_equal(planes[1:], want)
         np.testing.assert_array_equal(planes[0], kept)
-
-
-def test_sawtooth_triangular_between_integers():
-    assert sawtooth(np.array(1.6), 2) == pytest.approx(0.6)
-    assert sawtooth(np.array(2.4), 2) == pytest.approx(0.6)
-    x = np.array([1.6, 2.4, 2.0, 5.0])
-    sawtooth(x, 2, out=x)
-    np.testing.assert_allclose(x, [0.6, 0.6, 1.0, 0.0])
 
 
 def test_int_dtype_covers_each_automaton_bound():
@@ -418,6 +414,44 @@ def test_every_automaton_runs_on_integers(monkeypatch):
 
 
 def test_elementary_kernels():
-    assert w_center3()[1, 1] == 1.0 and w_center3().sum() == 1.0
-    assert w_von_neumann().sum() == 5.0 and w_von_neumann()[0, 0] == 0.0
-    assert w_offset3(0, 2)[0, 2] == 1.0 and w_offset3(0, 2).sum() == 1.0
+    centre = w_cells(3, [(1, 1)])
+    assert centre.dtype.kind == "i" and centre.shape == (3, 3)
+    assert centre[1, 1] == 1 and centre.sum() == 1
+    von_neumann = w_cells(3, [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
+    assert von_neumann.sum() == 5 and von_neumann[0, 0] == 0
+    assert w_cells(3, [(0, 2)])[0, 2] == 1 and w_cells(3, [(0, 2)]).sum() == 1
+    assert not w_cells(5, []).any()
+    codes = w_cells(5, [(1, 2), (2, 1), (3, 2), (2, 3)], values=[1, 2, 3, 4])
+    assert codes.dtype.kind == "i" and codes.shape == (5, 5)
+    assert [codes[1, 2], codes[2, 1], codes[3, 2], codes[2, 3]] == [1, 2, 3, 4]
+    assert codes.sum() == 10
+
+
+def kernel_digest() -> str:
+    """sha256 of the shape and the int64 weights and bias of every stack the
+    automata build, their split halves and the DFS's centre stack, and of
+    the DFS stamps."""
+    digest = hashlib.sha256()
+
+    def add(a):
+        a = np.asarray(a)
+        digest.update(repr(a.shape).encode())
+        digest.update(a.astype(np.int64).tobytes())
+
+    stacks = [bfs.build_bfs_weights(), *bfs.flood_stacks(bfs.N_HIDDEN),
+              *bfs.flood_stacks(bfs.SOURCE_PLANES), extract.build_extract_weights(),
+              dfs.build_dfs_weights(), dfs._centre()]
+    for ks in stacks:
+        add(ks.weights)
+        add(ks.bias)
+    for stamp in dfs._stamps(np.dtype("int16")):
+        add(stamp)
+    return digest.hexdigest()
+
+
+# pinned before the elementary matrices were written as one integer builder
+KERNEL_SHA256 = "d8ef30d61715fcc637d71e5b3cb1973cd6b15e0ce59fe045c73f13b411a45531"
+
+
+def test_kernels_are_unchanged():
+    assert kernel_digest() == KERNEL_SHA256
