@@ -19,7 +19,7 @@ tap is a centre tap, so ``flood_canvas`` gives each cell the static taps of
 its own one-hot channel, and a copy's slice of the plane is its single
 run's.  The state keeps the conv's one-cell border (``tensor.conv2d``); the
 border and a canvas's gutter rows take a wall's taps, so their flood
-pre-activations are at most -6 + 5 and their ages add only their own
+pre-activations are at most -6 + 4 and their ages add only their own
 floods: they stay zero, as zero padding would.
 """
 
@@ -64,7 +64,7 @@ class BfsResult:
 
 def build_bfs_weights() -> KernelStack:
     w1 = w_cells(3, [(1, 1)])  # the centre
-    wt = w_cells(3, [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])  # the von Neumann neighbourhood
+    wt = w_cells(3, [(0, 1), (1, 0), (1, 2), (2, 1)])  # the four neighbours, and no self-tap
     w = np.zeros((N_HIDDEN, 7, 3, 3), np.int64)
     w[FLOOD_S, IN_SOURCE] = w1
     w[FLOOD_S, IN_FLOOD_S] = wt
@@ -99,7 +99,7 @@ def flood_dtype(height: int, width: int) -> np.dtype:
     # stay within it up to the halting step, where a copy is read; a halted
     # canvas copy rides along until it is dropped, and its ages may wrap,
     # which touches no other copy, since only centre taps read the age.
-    # Flood pre-activations lie in [-6, 6].
+    # Flood pre-activations lie in [-6, 5].
     return int_dtype(max(flood_horizon(height, width), 6))
 
 

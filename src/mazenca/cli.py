@@ -20,7 +20,7 @@ from .evolve import EvolutionConfig, label_maze, run_evolution
 from .extract import run_extract
 from .grid import TASKS, GenConfig, Maze, MazeError, generate_maze, parse_maze, render_maze
 from .solvers import ExternalSolver, make_solver
-from .verify import default_workers, verify_task
+from .verify import CHECKS, default_workers, verify_task
 
 
 class UsageError(MazeError):
@@ -156,6 +156,8 @@ def cmd_evolve(args) -> int:
     _count(args.batch_size, "--batch-size")
     if args.n_flips is not None and args.n_flips < 1:
         raise UsageError(f"--n-flips must be at least 1, got {args.n_flips}")
+    if np.isnan(args.loss_threshold):  # no loss reaches it: every generation would mutate
+        raise UsageError("--loss-threshold must be a number, got nan")
     dataset = read_dataset(args.dataset)
     if not dataset:
         raise MazeError("empty dataset")
@@ -241,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hand-coded cellular-automaton maze algorithms and tooling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    algos = ("bfs", "extract", "dfs")  # the runs ``trace`` and ``render`` record
 
     p = sub.add_parser("gen", help="generate a JSON-Lines dataset")
     p.add_argument("--task", choices=TASKS, required=True)
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diameter)
 
     p = sub.add_parser("verify", help="automaton-vs-oracle equivalence run")
-    p.add_argument("--task", choices=["shortest_path", "dfs", "diameter"], required=True)
+    p.add_argument("--task", choices=list(CHECKS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", default="16")
     p.add_argument("--seed", type=int, default=0)
@@ -285,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="dump per-step channels to a binary trace")
     p.add_argument("--maze", required=True)
-    p.add_argument("--algo", choices=["bfs", "extract", "dfs"], required=True)
+    p.add_argument("--algo", choices=algos, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--start", help="row,col for dfs traces")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("render", help="print a per-step animation of one channel")
     p.add_argument("--maze", required=True)
-    p.add_argument("--algo", choices=["bfs", "extract", "dfs"], required=True)
+    p.add_argument("--algo", choices=algos, required=True)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--start", help="row,col for dfs animations")
     p.set_defaults(func=cmd_render)

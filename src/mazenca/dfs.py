@@ -70,7 +70,7 @@ PEBBLE = 8
 N_HIDDEN = 9
 # conv input order: 9 hidden channels then the maze one-hot, which every run
 # folds into its constant plane
-IN_EMPTY, IN_WALL, IN_SOURCE, IN_TARGET = 9, 10, 11, 12
+IN_EMPTY, IN_WALL, IN_SOURCE = 9, 10, 11
 
 # 5x5 kernel offsets watched by each directional route channel: the position
 # of the neighbour a route arrives FROM (down-move looks up, and so on), in
@@ -168,22 +168,22 @@ def build_dfs_weights() -> KernelStack:
     wp = w_cells(5, DIR_OFFSETS, values=[1, 2, 3, 4])  # each neighbour's direction code
     w = np.zeros((N_HIDDEN, N_HIDDEN + 4, 5, 5), np.int64)
 
+    # no self-tap: a routed tile is the start, or keeps the arrival that routed it
     w[ROUTE, IN_SOURCE] = w2
-    w[ROUTE, ROUTE] = w2
     w[ROUTE, IN_WALL] = -w2
     w[ROUTE, STACK] = -w2
 
     for ch, (i, j) in zip(ROUTE_DIRS, DIR_OFFSETS):
         wpd = W_PRIORITY[(i, j)]
         w[ch, ROUTE] = w_cells(5, [(i, j)]) + wpd
-        for src in (IN_EMPTY, IN_SOURCE, IN_TARGET):
-            w[ch, src] = -wpd
+        w[ch, [IN_EMPTY, IN_SOURCE]] = -wpd  # the open tiles: the one-hot marks no target
 
     w[STACK, PEBBLE] = wa
     w[STACK, STACK] = w2
     w[STACK, IN_WALL] = -2 * w2
     w[STACK, ROUTE] = -2 * w2
 
+    # kept: no run shows the code 1 below the pebble, but host code, not a local rule, clears it
     w[STACK_DIR, PEBBLE] = wp
     w[STACK_DIR, STACK_DIR] = w2
     # walls and routed tiles never hold a direction, so the inhibition must
@@ -192,12 +192,9 @@ def build_dfs_weights() -> KernelStack:
     w[STACK_DIR, IN_WALL] = -10 * w2
     w[STACK_DIR, ROUTE] = -10 * w2
 
-    w[STACK_RANK, PEBBLE] = w2
-    # self-persistence is required for the rank to count time on the stack;
-    # without it every rank collapses to a constant and pops lose LIFO order
+    # only a stacked tile holds a rank, which counts its time on the stack:
+    # without the self-tap every rank collapses and pops lose LIFO order
     w[STACK_RANK, STACK_RANK] = w2
-    w[STACK_RANK, IN_WALL] = -2 * w2
-    w[STACK_RANK, ROUTE] = -2 * w2
     w[STACK_RANK, STACK] = w2
     return KernelStack(weights=w, bias=np.zeros(N_HIDDEN, np.int64))
 
@@ -275,10 +272,10 @@ def dfs_step(state: DfsState) -> DfsState:
 
     np.subtract(out[ROUTE], before[ROUTE], out=out[PEBBLE])
     # the route never shrinks, so the pebble marks the tiles the route just
-    # reached.  Zero their stack bookkeeping: the route inhibition in the
-    # conv clears it one step later anyway, but doing it here keeps route
-    # and stack disjoint at every observable state.  Every other route tile
-    # already holds none: the inhibition outweighs any input.
+    # reached.  Zero their stack bookkeeping: the route inhibition would clear
+    # the stack and the code a step later, but no tap clears a rank.  Every
+    # other route tile holds none: the inhibition outweighs any input, and a
+    # tile off the stack gains no rank.
     rows, cols = out[PEBBLE].nonzero()
     pebbles = [(r0 + r, c0 + c) for r, c in zip(rows.tolist(), cols.tolist())]
     for r, c in pebbles:

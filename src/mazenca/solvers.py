@@ -147,6 +147,8 @@ class ExternalSolver:
                     f"solver exited with code {proc.returncode}"
                 ) from error[0]
             raise SolverProtocolError(str(error[0])) from error[0]
+        if not np.isfinite(rows).all():  # a NaN would pass the clip
+            raise SolverProtocolError("solver answered a value that is not finite")
         return np.clip(np.array(rows, dtype=np.float64), 0.0, 1.0)
 
     def close(self):

@@ -10,8 +10,8 @@ keep their input's dtype.
 An automaton's conv input is its hidden channels followed by static inputs
 that never change during a run (the maze one-hot, a frozen flood).  Because
 convolution is linear, ``KernelStack.split`` separates the two: the static
-channels are convolved once per run into a constant plane, and each step
-convolves only the hidden channels, starting from that plane.
+channels give a constant plane once per run (``bfs.flood_canvas`` looks the
+flood's up), and each step convolves only the hidden channels, from it.
 
 ``conv2d`` is bound by numpy's per-call cost, not by arithmetic, at the
 sizes the automata run: a step's conv is a few dozen array operations on a

@@ -367,6 +367,50 @@ def test_evolve_closes_external_solver(tmp_path):
     assert not alive, "external solver still running after evolve returned"
 
 
+def test_evolve_rejects_a_solver_that_answers_nan(tmp_path, capsys):
+    # a NaN loss would compare False with the threshold, so every generation
+    # would mutate on a solver that says nothing
+    script = tmp_path / "nan_solver.py"
+    script.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    _, h, w = line.split()\n"
+        "    for _ in range(int(h)):\n"
+        "        sys.stdin.readline()\n"
+        "    for _ in range(int(h)):\n"
+        "        print(' '.join(['nan'] * int(w)))\n"
+        "    print('END', flush=True)\n"
+    )
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "4", "--size", "6",
+          "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    out, stats = tmp_path / "e.jsonl", tmp_path / "s.csv"
+    assert main(["evolve", "--dataset", str(data),
+                 "--solver", "cmd:" + shlex.join([sys.executable, str(script)]),
+                 "--generations", "2", "--out", str(out), "--stats-out", str(stats),
+                 "--batch-size", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.strip() == "solver answered a value that is not finite"
+    assert not out.exists() and not stats.exists()
+
+
+def test_evolve_nan_loss_threshold_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    main(["gen", "--task", "shortest_path", "--n", "4", "--size", "6",
+          "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    out, stats = tmp_path / "e.jsonl", tmp_path / "s.csv"
+    assert main(["evolve", "--dataset", str(data), "--solver", "zeros",
+                 "--generations", "2", "--out", str(out), "--stats-out", str(stats),
+                 "--batch-size", "2", "--loss-threshold", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.strip() == "--loss-threshold must be a number, got nan"
+    assert not out.exists() and not stats.exists()
+
+
 def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert main(["solve", "--maze", str(tmp_path / "nope.txt")]) == 1
 
